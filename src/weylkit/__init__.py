@@ -35,4 +35,7 @@ from .shadow import (
     sweep_stable_cover,
     verify_random_shadows,
 )
-from .cli import main as cli_main
+# bench/tracer.py looks every weylkit module, cli included, up in sys.modules
+# right after `import weylkit`, so the CLI module is loaded here.  This is
+# also why `python -m weylkit.cli` warns that the module was already imported.
+from . import cli  # noqa: F401

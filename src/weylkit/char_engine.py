@@ -3,8 +3,12 @@
 Character tables are computed with the modular eigenvector method: class-sum
 structure constants act on class functions over F_p for a prime p = 1 mod
 exp(G) with p > 2|G|, so all inner products and degrees are exact integers
-read off from their residues.  Linear characters are kept exactly as maps to
-Q/Z (Fraction values mod 1).
+read off from their residues.  The eigenvalues of a class matrix are the
+roots of its minimal polynomial, which splits into distinct linear factors
+over F_p; they are found by Cantor-Zassenhaus equal-degree splitting (gcd
+with (x + a)^((p-1)/2) - 1 for a = 1, 2, ...).  All of this runs on Python
+ints and the standard library.  Linear characters are kept exactly as maps
+to Q/Z (Fraction values mod 1).
 
 The extension machinery answers "does this character of a normal subgroup
 extend to (a subgroup of) its stabilizer": via induction/decomposition for
@@ -15,8 +19,7 @@ with a verifiable witness or obstruction certificate for linear characters.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-
-import sympy
+from operator import mul
 
 from .group_engine import FiniteGroup, quotient, closure
 
@@ -82,14 +85,14 @@ def _kernel(mat, p):
 
 
 def _minpoly_roots(B, p):
-    """Roots (with the linearity assertion) of the minimal polynomial of B
-    relative to a Krylov vector; B must be diagonalizable over F_p."""
+    """Eigenvalues of B over F_p: the roots of its minimal polynomial relative
+    to a Krylov vector, which must split into distinct linear factors."""
     n = len(B)
     v = [1] + [0] * (n - 1)
     krylov = [v]
     while True:
         u = krylov[-1]
-        w = [sum(B[i][j] * u[j] for j in range(n)) % p for i in range(n)]
+        w = _mat_vec(B, u, p)
         basis = _echelon(krylov, p)
         coords = _solve_coords(basis, w, p)
         if coords is not None:
@@ -101,14 +104,113 @@ def _minpoly_roots(B, p):
             coeffs = [(-c) % p for c in sol] + [1]     # monic
             break
         krylov.append(w)
-    x = sympy.symbols("x")
-    poly = sympy.Poly(list(reversed(coeffs)), x, modulus=p)
+    return _split_roots(coeffs, p)
+
+
+# ---------------------------------------------------------------------------
+# polynomials over F_p: coefficient lists, lowest degree first, no trailing
+# zeros (the zero polynomial is [])
+
+def _poly_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_mod(a, f, p):
+    """Remainder of a modulo the monic polynomial f."""
+    a = [x % p for x in a]
+    df = len(f) - 1
+    for k in range(len(a) - 1, df - 1, -1):
+        c = a[k]
+        if c:
+            shift = k - df
+            for j in range(df):
+                a[shift + j] = (a[shift + j] - c * f[j]) % p
+        a[k] = 0
+    return _poly_trim(a[:df])
+
+
+def _poly_mulmod(a, b, f, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_mod(prod, f, p)
+
+
+def _poly_powmod(a, e, f, p):
+    """a^e modulo the monic polynomial f."""
+    result = _poly_mod([1], f, p)
+    a = _poly_mod(a, f, p)
+    while e:
+        if e & 1:
+            result = _poly_mulmod(result, a, f, p)
+        e >>= 1
+        if e:
+            a = _poly_mulmod(a, a, f, p)
+    return result
+
+
+def _poly_monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _poly_gcd(a, b, p):
+    """Monic gcd of two polynomials, not both zero."""
+    a, b = _poly_trim([x % p for x in a]), _poly_trim([x % p for x in b])
+    while b:
+        a, b = b, _poly_mod(a, _poly_monic(b, p), p)
+    return _poly_monic(a, p)
+
+
+def _poly_divexact(a, b, p):
+    """Quotient a / b for a monic divisor b of a."""
+    a = list(a)
+    db = len(b) - 1
+    q = [0] * (len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] % p
+        q[k - db] = c
+        if c:
+            for j in range(db + 1):
+                a[k - db + j] = (a[k - db + j] - c * b[j]) % p
+    return q
+
+
+def _split_roots(f, p):
+    """Sorted roots of a monic f over F_p, p an odd prime, where f must be a
+    product of distinct linear factors.
+
+    That is the case exactly when f divides x^p - x, i.e. gcd(f, x^p - x) = f;
+    otherwise ArithmeticError is raised.  The roots are then separated by
+    Cantor-Zassenhaus splitting: gcd(f, (x + a)^((p-1)/2) - 1) for
+    a = 1, 2, ... puts the roots r with r + a a nonzero square on one side.
+    """
+    f = [x % p for x in f]
+    if len(f) > 2 and _poly_powmod([0, 1], p, f, p) != [0, 1]:
+        raise ArithmeticError("eigenvalues must be distinct and lie in the "
+                              "prime field")
     roots = []
-    for fac, mult in poly.factor_list()[1]:
-        assert fac.degree() == 1, "eigenvalues must lie in the prime field"
-        assert mult == 1, "class matrices must be separable"
-        roots.append((-fac.all_coeffs()[-1]) % p)
-    return roots
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if len(g) == 2:
+            roots.append((-g[0]) % p)
+            continue
+        for a in range(1, p + 1):
+            h = _poly_powmod([a % p, 1], (p - 1) // 2, g, p) or [0]
+            h[0] -= 1       # _poly_gcd reduces mod p
+            d = _poly_gcd(g, h, p)
+            if 1 < len(d) < len(g):
+                todo += [d, _poly_divexact(g, d, p)]
+                break
+        else:
+            raise ArithmeticError(f"no splitting of a degree {len(g) - 1} "
+                                  f"polynomial over F_{p}")
+    return sorted(roots)
 
 
 def _solve_linear(A, b, p, ncols):
@@ -123,12 +225,39 @@ def _solve_linear(A, b, p, ncols):
     return x
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin; the bases 2..37 decide every n < 3.3e24."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _next_prime_1mod(e, lower):
     """Smallest prime p = 1 (mod e) with p > lower."""
     k = lower // e + 1
     while True:
         p = e * k + 1
-        if p > lower and sympy.isprime(p):
+        if p > lower and _is_prime(p):
             return p
         k += 1
 
@@ -150,8 +279,9 @@ class CharTable:
         e = group.exponent()
         if p is None:
             p = _next_prime_1mod(e, 2 * group.order)
-        else:
-            assert (p - 1) % e == 0 and p > 2 * group.order, "prime unsuitable"
+        elif (p - 1) % e or p <= 2 * group.order:
+            raise ValueError(f"prime {p} unsuitable: need p = 1 mod {e} and "
+                             f"p > {2 * group.order}")
         self.p = p
         self._class_of = group.class_index_map()
         self.reps = [c[0] for c in self.classes]
@@ -190,7 +320,8 @@ class CharTable:
                 nxt.extend(self._split(space, A, p))
             subspaces = [s for s in nxt if len(s) > 1]
             done.extend(s for s in nxt if len(s) == 1)
-        assert not subspaces and len(done) == r, "table failed to split"
+        if subspaces or len(done) != r:
+            raise ArithmeticError("table failed to split")
 
         omegas = []
         for space in done:
@@ -213,14 +344,13 @@ class CharTable:
 
     def _split(self, space, A, p):
         """Split an invariant subspace into eigenspaces of the class matrix."""
-        r = self.r
         dim = len(space)
         basis = _echelon(space, p)
         space = [row for row, _ in basis]
-        imgs = [[sum(A[i][j] * v[j] for j in range(r)) % p for i in range(r)]
-                for v in space]
+        imgs = [_mat_vec(A, v, p) for v in space]
         B_cols = [_solve_coords(basis, u, p) for u in imgs]
-        assert all(c is not None for c in B_cols), "subspace not invariant"
+        if any(c is None for c in B_cols):
+            raise ArithmeticError("subspace not invariant")
         B = [[B_cols[j][i] for j in range(dim)] for i in range(dim)]
         out = []
         remaining = [(B, space)]
@@ -236,8 +366,7 @@ class CharTable:
             for lam in roots:
                 ker = _kernel([[(Bc[i][j] - (lam if i == j else 0)) % p
                                 for j in range(m)] for i in range(m)], p)
-                vecs = [[sum(kv[t] * sp[t][j] for t in range(m)) % p
-                         for j in range(r)] for kv in ker]
+                vecs = [_combine(kv, sp, p) for kv in ker]
                 pieces.append(vecs)
                 covered += len(ker)
             if covered < m:
@@ -248,12 +377,10 @@ class CharTable:
                     C = _mat_mul(C, [[(Bc[i][j] - (lam if i == j else 0)) % p
                                       for j in range(m)] for i in range(m)], p)
                 img_rows = _echelon(C, p)
-                sub = [[sum(row[t] * sp[t][j] for t in range(m)) % p
-                        for j in range(r)] for row, _ in img_rows]
+                sub = [_combine(row, sp, p) for row, _ in img_rows]
                 bas2 = _echelon(sub, p)
                 sub = [row for row, _ in bas2]
-                imgs2 = [[sum(A[i][j] * v[j] for j in range(r)) % p
-                          for i in range(r)] for v in sub]
+                imgs2 = [_mat_vec(A, v, p) for v in sub]
                 cols = [_solve_coords(bas2, u, p) for u in imgs2]
                 B2 = [[cols[j][i] for j in range(len(sub))]
                       for i in range(len(sub))]
@@ -278,10 +405,25 @@ class CharTable:
     def value_on(self, chi, g):
         return chi[self._class_of[g]]
 
+    def class_perm(self, g):
+        """Class index of g x g^-1 for each class representative x."""
+        gi = g.inv()
+        return tuple(self._class_of[g * rep * gi] for rep in self.reps)
+
     def conj_char(self, chi, g):
         """The class function chi^g: x -> chi(g x g^-1)."""
-        gi = g.inv()
-        return tuple(chi[self._class_of[g * rep * gi]] for rep in self.reps)
+        return tuple(chi[k] for k in self.class_perm(g))
+
+    def stabilizers(self, elems):
+        """Yield (chi, stabilizer) for each irreducible chi in table order:
+        the elements of elems, in their order, whose conjugation fixes chi.
+        Each element's class permutation is computed once."""
+        ids = {}
+        keys = [ids.setdefault(self.class_perm(g), len(ids)) for g in elems]
+        for chi in self.irreducibles:
+            fixed = [all(chi[k] == c for k, c in zip(perm, chi))
+                     for perm in ids]
+            yield chi, [g for g, key in zip(elems, keys) if fixed[key]]
 
     def restrict_from(self, big_table, chi):
         """Restriction of a character row of a bigger table to this group."""
@@ -319,6 +461,21 @@ def _unit(j, r):
 
 def _identity_mat(m):
     return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+
+def _mat_vec(A, v, p):
+    """A v over F_p."""
+    return [sum(map(mul, row, v)) % p for row in A]
+
+
+def _combine(coeffs, rows, p):
+    """The combination sum_t coeffs[t] rows[t] over F_p."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, x in enumerate(row):
+                out[j] += c * x
+    return [x % p for x in out]
 
 
 def _mat_mul(A, B, p):
@@ -375,9 +532,7 @@ def maximal_extendibility(big, normal, tables=None):
         tables = common_tables(big, normal)
     tb, tn = tables
     results = []
-    for chi in tn.irreducibles:
-        stab_elems = [g for g in big.elements
-                      if tn.conj_char(chi, g) == chi]
+    for chi, stab_elems in tn.stabilizers(big.elements):
         stab = FiniteGroup(elements=stab_elems)
         stab.reduce_gens()
         ts = CharTable(stab, p=tb.p) if stab.order != big.order else tb

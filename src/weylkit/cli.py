@@ -180,6 +180,9 @@ _SUITE_FUNCS = {
 def cmd_verify(args):
     try:
         jobs = _jobs_value(args)
+        if args.suite in ("relations", "relweyl", "all") and args.rank < 2:
+            raise UsageError(f"suite {args.suite} needs rank >= 2, "
+                             f"got {args.rank}")
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

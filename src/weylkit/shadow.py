@@ -710,8 +710,7 @@ def verify_stable_cover(shadow, groups=None, size_cap=2000):
                  if all((x * s * x.inv()) in groups.w for s in groups.w.gens))
     tw, tt = _table_pair(groups.w, small)
     per = []
-    for eta0 in tt.irreducibles:
-        stab = [x for x in norm if tt.conj_char(eta0, x) == eta0]
+    for eta0, stab in tt.stabilizers(norm):
         stab_gens = small_generating_set(stab) if len(stab) > 6 else stab
         stab_gens = [x for x in stab_gens if x in norm_w]
         exists, every = _stable_chi_exists(tw, tt, eta0, stab_gens)

@@ -1,8 +1,10 @@
 """Character tables, extension solvers, wreath and product-glue builders."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylkit.group_engine import (FiniteGroup, quaternion_group, Perm)
 from weylkit.signed_perm import SignedPerm, flip, transposition
@@ -10,7 +12,9 @@ from weylkit.char_engine import (CharTable, common_tables, extends_to,
                                  maximal_extendibility, linear_characters,
                                  char_order, linear_ext_cocycle,
                                  verify_halves_extension, wreath_ext_map,
-                                 cor_tool_build, transversal_check)
+                                 cor_tool_build, transversal_check,
+                                 _minpoly_roots, _split_roots, _is_prime,
+                                 _next_prime_1mod)
 
 
 def s3_group():
@@ -63,6 +67,81 @@ def test_maximal_extendibility_c2_in_d8():
     c4 = FiniteGroup(gens=[flip(2, 1) * transposition(2, 1, 2)])
     ok, _ = maximal_extendibility(g, c4)
     assert ok
+
+
+def test_stabilizers_match_conj_char():
+    g = d8_group()
+    c4 = FiniteGroup(gens=[flip(2, 1) * transposition(2, 1, 2)])
+    _, tn = common_tables(g, c4)
+    stabs = list(tn.stabilizers(g.elements))
+    assert [chi for chi, _ in stabs] == tn.irreducibles
+    for chi, stab in stabs:
+        assert stab == [x for x in g.elements if tn.conj_char(chi, x) == chi]
+    # the two faithful characters of C4 are swapped by the reflections
+    assert sorted(len(stab) for _, stab in stabs) == [4, 4, 8, 8]
+
+
+def test_unsuitable_prime_raises():
+    with pytest.raises(ValueError, match="unsuitable"):
+        CharTable(s3_group(), p=7)
+
+
+def test_unsplit_table_raises(monkeypatch):
+    monkeypatch.setattr(CharTable, "_split", lambda self, space, A, p: [space])
+    with pytest.raises(ArithmeticError, match="failed to split"):
+        CharTable(s3_group())
+
+
+def test_non_invariant_subspace_raises():
+    t = CharTable(s3_group())
+    swap = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    with pytest.raises(ArithmeticError, match="not invariant"):
+        t._split([[1, 0, 0], [0, 1, 0]], swap, t.p)
+
+
+def _expand(roots, p):
+    """Coefficients, lowest degree first, of prod (x - r) over F_p."""
+    f = [1]
+    for r in roots:
+        f = [(a - r * b) % p for a, b in zip([0] + f, f + [0])]
+    return f
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_split_roots_recovers_distinct_roots(data):
+    e = data.draw(st.integers(1, 48))
+    p = _next_prime_1mod(e, data.draw(st.integers(2, 5000)))
+    assert (p - 1) % e == 0
+    roots = data.draw(st.sets(st.integers(0, p - 1), min_size=1,
+                              max_size=min(12, p)))
+    assert _split_roots(_expand(roots, p), p) == sorted(roots)
+
+
+def test_split_roots_rejects_repeated_root_and_irreducible_quadratic():
+    with pytest.raises(ArithmeticError):
+        _split_roots(_expand([3, 3, 5], 7), 7)
+    with pytest.raises(ArithmeticError):
+        _split_roots([1, 0, 1], 7)        # x^2 + 1: -1 is no square mod 7
+    with pytest.raises(ArithmeticError):
+        _minpoly_roots([[1, 0], [1, 1]], 7)     # a Jordan block
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+    assert all(_is_prime(n) == trial(n) for n in range(20001))
+    # strong pseudoprimes to the bases 2, 3, 5 and 7, and a Mersenne prime
+    assert not _is_prime(3215031751)
+    assert _is_prime(2 ** 61 - 1)
+
+
+def test_table_entries_and_roots_are_python_ints():
+    t = CharTable(d8_group())
+    assert all(type(x) is int for row in t.irreducibles for x in row)
+    roots = _minpoly_roots([[0, 1], [1, 0]], 5)
+    assert roots == [1, 4]
+    assert all(type(x) is int for x in roots)
 
 
 def test_linear_characters_klein():

@@ -92,6 +92,15 @@ def test_jobs_env_and_flag():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("suite", ["relweyl", "relations", "all"])
+def test_verify_rank_below_two_exits_2(suite):
+    r = run_cli("verify", "--suite", suite, "--rank", "1")
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 def test_unknown_suite_exits_2():
     r = run_cli("verify", "--suite", "nonsense")
     assert r.returncode == 2
