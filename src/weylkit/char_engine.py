@@ -665,15 +665,24 @@ def linear_ext_cocycle(lam, normal, big, verify_samples=200, seed=0):
     reps = {c: (big.identity if c.rep == id_rep else c.rep)
             for c in q.elements}
     coset_of_rep = {c.rep: c for c in q.elements}
+    rep_inv = {c: t.inv() for c, t in reps.items()}
+    lam_m = {}
+    for h in normal.elements:
+        val = lam[h] * m
+        if val.denominator != 1:
+            raise ArithmeticError(f"character value {lam[h]} times its "
+                                  f"order {m} is not an integer")
+        lam_m[h] = int(val) % m
+    # normal subgroup: t1 t2 lies in the coset c1 c2, so this one product
+    # gives that coset and, times the inverse of its transversal element,
+    # the defect in the normal subgroup
     cocycle = {}
     for c1 in q.elements:
+        t1, k1 = reps[c1], c1.key()
         for c2 in q.elements:
-            t1, t2 = reps[c1], reps[c2]
-            t12 = reps[c1 * c2]
-            defect = t1 * t2 * t12.inv()
-            val = lam[defect] * m
-            assert val.denominator == 1
-            cocycle[(c1.key(), c2.key())] = int(val) % m
+            t12 = t1 * reps[c2]
+            c12 = coset_of_rep[rep_of[t12]]
+            cocycle[(k1, c2.key())] = lam_m[t12 * rep_inv[c12]]
     ctx = _ExtCtx(m, cocycle, rep_of)
     E = FiniteGroup(elements=[ExtElt(ctx, z, c)
                               for z in range(m) for c in q.elements])
@@ -713,19 +722,20 @@ def linear_ext_cocycle(lam, normal, big, verify_samples=200, seed=0):
     witness = {}
     for g in big.elements:
         c = coset_of_rep[rep_of[g]]
-        h = reps[c].inv() * g
+        h = rep_inv[c] * g
         witness[g] = (phi[ExtElt(ctx, 0, c)] + lam[h]) % 1
 
     # verification: full restriction, generator pairs, random sample pairs
     for h in normal.elements:
-        assert witness[h] == lam[h] % 1, "witness does not restrict correctly"
+        if witness[h] != lam[h] % 1:
+            raise ArithmeticError("witness does not restrict correctly")
     rng = random.Random(seed)
     pairs = [(a, b) for a in big.gens for b in big.gens]
     pairs += [(rng.choice(big.elements), rng.choice(big.elements))
               for _ in range(verify_samples)]
     for a, b in pairs:
-        assert (witness[a] + witness[b]) % 1 == witness[a * b], \
-            "witness is not multiplicative"
+        if (witness[a] + witness[b]) % 1 != witness[a * b]:
+            raise ArithmeticError("witness is not multiplicative")
     return ExtensionResult(True, witness, None,
                            "extension constructed and verified")
 
@@ -773,11 +783,24 @@ def verify_halves_extension(lp, seed=0):
     chars = linear_characters(H)
     rec("char_count", len(chars) == 2 ** lp, f"{len(chars)} linear characters")
 
+    # one conjugation pass: where each g sends the generators of H, as
+    # positions in helems, numbered by distinct action
+    pos = {h: i for i, h in enumerate(helems)}
+    gen_pos = [pos[h] for h in H.gens]
+    actions = {}
+    act_of = []
+    for g in V:
+        gi = g.inv()
+        act = tuple(pos[g * h * gi] for h in H.gens)
+        act_of.append(actions.setdefault(act, len(actions)))
+
     all_ok = True
     stabs = {}
     for lam in chars:
-        stab = [g for g in V
-                if all(lam[g * h * g.inv()] == lam[h] for h in H.gens)]
+        vals = [lam[h] for h in helems]
+        fixed = [all(vals[i] == vals[j] for i, j in zip(act, gen_pos))
+                 for act in actions]
+        stab = [g for g, a in zip(V, act_of) if fixed[a]]
         sgrp = FiniteGroup(elements=stab)
         sgrp.reduce_gens()
         stabs[_char_key(lam, helems)] = (lam, sgrp)

@@ -180,20 +180,6 @@ class FiniteGroup:
             out = lcm(out, self.element_order(c[0]))
         return out
 
-    def abelianization_orders(self):
-        """Sorted element orders of G/[G,G]."""
-        q = quotient(self, self.derived_subgroup())
-        return tuple(sorted(q.element_order(g) for g in q.elements))
-
-    def iso_invariants(self):
-        """A cheap isomorphism fingerprint: order, exponent, class sizes,
-        abelianization element orders, derived-subgroup order."""
-        return (self.order,
-                self.exponent(),
-                tuple(sorted(len(c) for c in self.conj_classes())),
-                self.abelianization_orders(),
-                self.derived_subgroup().order)
-
 
 def small_generating_set(elements, seed_gens=()):
     """Greedy short generating set for a group given as a full element list.
@@ -214,8 +200,26 @@ def small_generating_set(elements, seed_gens=()):
             break
         if g not in cur:
             gens.append(g)
-            cur = set(closure(gens))
+            cur = _coset_extension(cur, gens, g)
     return gens
+
+
+def _coset_extension(sub, gens, g):
+    """The element set of <gens> from the elements sub of the subgroup that
+    gens without g generate (Dimino): add right cosets sub*r, starting from
+    r = g, until their union is closed under the generators.  Costs about
+    |<gens>| products, against |<gens>| * len(gens) for closure(gens)."""
+    base = list(sub)
+    out = set(sub)
+    out.update(h * g for h in base)
+    reps = [g]
+    for r in reps:
+        for s in gens:
+            y = r * s
+            if y not in out:
+                reps.append(y)
+                out.update(h * y for h in base)
+    return out
 
 
 def _find_identity(elements):
@@ -273,22 +277,6 @@ def quotient(group, normal):
 def product_set(a_elems, b_elems):
     """The set {a*b}; size |A||B|/|A cap B| when both are subgroups."""
     return {a * b for a in a_elems for b in b_elems}
-
-
-def commutator(a, b):
-    return a * b * a.inv() * b.inv()
-
-
-def is_homomorphism(f, gens, samples=()):
-    """Check f(xy) = f(x)f(y) on all generator pairs plus extra sample pairs."""
-    for x in gens:
-        for y in gens:
-            if f(x * y) != f(x) * f(y):
-                return False
-    for x, y in samples:
-        if f(x * y) != f(x) * f(y):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

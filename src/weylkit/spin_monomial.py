@@ -9,6 +9,11 @@ Ladder operators with Jordan-Wigner signs give root vectors E_alpha; the
 elements n_alpha(t) = x_alpha(t) x_{-alpha}(-1/t) x_alpha(t) come out monomial
 (one nonzero entry per column, a root of unity), and are stored as a
 permutation of the weight indices plus a phase-exponent vector.
+
+A SpinCtx memoizes its monomials: n_alpha(t) per (alpha, t), and the lifts
+of a decomposition's extension maps, with their inverses, per (dec, d), so
+that every kappa call after the first reuses them.  The memo lives as long
+as the context, which verify_relations builds afresh for each call.
 """
 
 from dataclasses import dataclass
@@ -174,11 +179,10 @@ class MonomialElt:
     phase: tuple
 
     def __mul__(self, other):
-        M = self.M
-        perm = tuple(self.perm[p] for p in other.perm)
-        phase = tuple((other.phase[i] + self.phase[other.perm[i]]) % M
-                      for i in range(len(perm)))
-        return MonomialElt(M, perm, phase)
+        M, perm, phase = self.M, self.perm, self.phase
+        return MonomialElt(M, tuple([perm[p] for p in other.perm]),
+                           tuple([(e + phase[p]) % M
+                                  for e, p in zip(other.phase, other.perm)]))
 
     def inv(self):
         n = len(self.perm)
@@ -230,6 +234,7 @@ class SpinCtx:
         self.M = 1 << K
         self.dim = 1 << l
         self._n_cache = {}
+        self._lift_cache = {}
         self._build_root_vectors()
 
     # -- construction ------------------------------------------------------
@@ -466,25 +471,30 @@ def lift_unsigned(ctx, sigma):
             alpha = tuple(y - x for x, y in zip(basis_vector(l, i),
                                                basis_vector(l, j)))
             out = out * ctx.n_elt(alpha, M // 2)
-    w = ctx.w_image(out)
-    assert w.unsigned() == tuple(sigma), "lift must project onto sigma"
+    if ctx.w_image(out).unsigned() != tuple(sigma):
+        raise ArithmeticError(f"lift must project onto sigma {tuple(sigma)}")
     return out
 
 
 def m_maps(ctx, dec, d):
-    """Monomial lifts of the d extension maps of the weight-d blocks."""
-    return [lift_unsigned(ctx, f) for f in dec.f_maps(d)]
+    """Monomial lifts m of the d extension maps of the weight-d blocks, as
+    (m, m^-1) pairs; each is lifted once per context."""
+    key = (dec, d)
+    pairs = ctx._lift_cache.get(key)
+    if pairs is None:
+        lifts = [lift_unsigned(ctx, f) for f in dec.f_maps(d)]
+        pairs = ctx._lift_cache[key] = [(m, m.inv()) for m in lifts]
+    return pairs
 
 
 def kappa(ctx, dec, d, x, order=None):
     """Diagonal map across the weight-d blocks: product of x conjugated by
     each lifted extension map, in ascending k order unless overridden."""
     ms = m_maps(ctx, dec, d)
-    ks = order if order is not None else range(len(ms))
     out = ctx.identity()
-    for k in ks:
-        m = ms[k]
-        out = out * (m * x * m.inv())
+    for k in (order if order is not None else range(len(ms))):
+        m, mi = ms[k]
+        out = out * (m * x * mi)
     return out
 
 
@@ -673,28 +683,29 @@ def verify_relations(l, dec=None, K=4, seed=0, rank_level=True):
         words_v = vg + _random_words(vg, rng_words, 8)
         words_vb = vbg + _random_words(vbg, rng_words, 8)
 
-        hom_ok = all(kappa(ctx, dec, d, x * y) ==
-                     kappa(ctx, dec, d, x) * kappa(ctx, dec, d, y)
+        kap = {x: kappa(ctx, dec, d, x) for x in words_v + words_vb}
+        inv = {x: x.inv() for x in words_v}
+        kap_inv = {x: kap[x].inv() for x in words_v}
+
+        hom_ok = all(kappa(ctx, dec, d, x * y) == kap[x] * kap[y]
                      for x in words_v for y in words_v)
         rec(f"kappa_{d}_hom", hom_ok,
             "kappa multiplicative on the block permutation group")
 
         rev = list(reversed(range(d)))
-        order_ok = all(kappa(ctx, dec, d, x) == kappa(ctx, dec, d, x, order=rev)
+        order_ok = all(kap[x] == kappa(ctx, dec, d, x, order=rev)
                        for x in words_v)
         # on short-root words the factor order can only shift by the central
         # h_0, consistent with the disjoint-block commutator relation
         order_vb_ok = all(
-            kappa(ctx, dec, d, x) * kappa(ctx, dec, d, x, order=rev).inv()
-            in (ident, h0)
+            kap[x] * kappa(ctx, dec, d, x, order=rev).inv() in (ident, h0)
             for x in words_vb)
         rec(f"kappa_{d}_order_free", order_ok and order_vb_ok,
             "kappa order-independent on the permutation part, "
             "order-independent up to h_0 on sign parts")
 
-        equi_ok = all(kappa(ctx, dec, d, x * v * x.inv()) ==
-                      kappa(ctx, dec, d, x) * kappa(ctx, dec, d, v) *
-                      kappa(ctx, dec, d, x).inv()
+        equi_ok = all(kappa(ctx, dec, d, x * v * inv[x]) ==
+                      kap[x] * kap[v] * kap_inv[x]
                       for v in words_vb for x in words_v)
         rec(f"kappa_{d}_equivariant", equi_ok,
             "kappa intertwines conjugation by the block permutation group")

@@ -6,7 +6,10 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit.group_engine import (FiniteGroup, quaternion_group, Perm)
+from weylkit import char_engine
+from weylkit.group_engine import (FiniteGroup, quaternion_group, Perm,
+                                  quotient)
+from weylkit.spin_monomial import SpinCtx
 from weylkit.signed_perm import SignedPerm, flip, transposition
 from weylkit.char_engine import (CharTable, common_tables, extends_to,
                                  maximal_extendibility, linear_characters,
@@ -183,6 +186,64 @@ def test_cocycle_solver_quaternion_obstruction():
     # the non-faithful central character extends fine
     triv = {center.identity: Fraction(0), z: Fraction(0)}
     assert linear_ext_cocycle(triv, center, q8).ok
+
+
+def test_cocycle_integrality_check_raises():
+    # 1/2000001 is past char_order's limit_denominator, so m is too small
+    q8, z = quaternion_group()
+    center = FiniteGroup(gens=[z])
+    lam = {center.identity: Fraction(0), z: Fraction(1, 2000001)}
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        linear_ext_cocycle(lam, center, center)
+
+
+def test_cocycle_witness_multiplicativity_check_raises():
+    # not a character of C4: lam(g) + lam(g) != lam(g^2)
+    c4 = FiniteGroup(gens=[Perm((1, 2, 3, 0))])
+    g = Perm((1, 2, 3, 0))
+    lam = {c4.identity: Fraction(0), g: Fraction(1, 4),
+           g * g: Fraction(1, 4), g * g * g: Fraction(3, 4)}
+    with pytest.raises(ArithmeticError, match="not multiplicative"):
+        linear_ext_cocycle(lam, c4, c4)
+
+
+def test_cocycle_table_and_stabilizers_match_pairwise_formulas(monkeypatch):
+    """On verify_halves_extension(2)'s groups: each stabilizer is the set of
+    g in V-bar fixing the character on H's generators, and each cocycle
+    entry is lam(t1 t2 t12^-1) * m for the normalized transversal."""
+    calls, tables = [], []
+    real = char_engine.linear_ext_cocycle
+
+    class Recording(char_engine._ExtCtx):
+        def __init__(self, m, cocycle, rep_of):
+            tables.append(cocycle)
+            super().__init__(m, cocycle, rep_of)
+
+    def recording(lam, normal, big, **kw):
+        calls.append((lam, normal, big))
+        return real(lam, normal, big, **kw)
+
+    monkeypatch.setattr(char_engine, "_ExtCtx", Recording)
+    monkeypatch.setattr(char_engine, "linear_ext_cocycle", recording)
+    assert all(ok for _, ok, _ in verify_halves_extension(2))
+    assert len(calls) == len(tables) == 4
+
+    vbar = FiniteGroup(gens=SpinCtx(2).vbar_gens(range(1, 3)))
+    for (lam, normal, big), table in zip(calls, tables):
+        assert big.elements == [
+            g for g in vbar
+            if all(lam[g * h * g.inv()] == lam[h] for h in normal.gens)]
+        m = char_order(lam)
+        q = quotient(big, normal)
+        id_rep = q.elements[0].ctx.rep_of[big.identity]
+        reps = {c: (big.identity if c.rep == id_rep else c.rep)
+                for c in q.elements}
+        want = {}
+        for c1 in q.elements:
+            for c2 in q.elements:
+                defect = reps[c1] * reps[c2] * reps[c1 * c2].inv()
+                want[(c1.key(), c2.key())] = int(lam[defect] * m) % m
+        assert table == want
 
 
 def test_halves_extension_rank2():

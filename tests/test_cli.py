@@ -10,13 +10,13 @@ import pytest
 from weylkit import cli
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, flags=()):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "weylkit.cli", *args],
+    return subprocess.run([sys.executable, *flags, "-m", "weylkit.cli", *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -57,6 +57,14 @@ def test_verify_byte_identity():
     a = run_cli("verify", "--suite", "relweyl", "--rank", "3")
     b = run_cli("verify", "--suite", "relweyl", "--rank", "3")
     assert a.stdout == b.stdout
+
+
+def test_verify_extend_under_optimize_flag():
+    # python -O strips asserts; the extension checks must not depend on them
+    plain = run_cli("verify", "--suite", "extend", "--seed", "0")
+    opt = run_cli("verify", "--suite", "extend", "--seed", "0", flags=("-O",))
+    assert plain.returncode == opt.returncode == 0
+    assert opt.stdout == plain.stdout
 
 
 def test_verify_rank_above_cap_skips():

@@ -1,12 +1,14 @@
 """Generic finite-group machinery over hashable elements with * and inv."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylkit.group_engine import (FiniteGroup, closure, quotient,
                                   small_generating_set, product_set,
                                   quaternion_group, Perm,
-                                  ClosureCapExceeded)
-from weylkit.signed_perm import SignedPerm, flip, transposition
+                                  ClosureCapExceeded, _coset_extension,
+                                  _find_identity)
+from weylkit.signed_perm import SignedPerm, flip, transposition, full_group
 
 
 def b2_group():
@@ -70,6 +72,42 @@ def test_small_generating_set():
     gens = small_generating_set(g.elements)
     assert len(gens) <= 3
     assert set(closure(gens)) == set(g.elements)
+
+
+B3 = sorted(full_group((1, 1, 1)), key=lambda g: g.key())
+
+
+@given(st.lists(st.sampled_from(B3), min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_coset_extension_is_closure(gens):
+    *rest, g = gens
+    sub = set(closure(rest)) if rest else {SignedPerm.identity(3)}
+    assert _coset_extension(sub, gens, g) == set(closure(gens))
+
+
+def _small_generating_set_reference(elements, seed_gens=()):
+    """The greedy choice with every subgroup rebuilt by closure."""
+    elements = sorted(set(elements), key=lambda g: g.key())
+    gens = list(seed_gens)
+    cur = set(closure(gens)) if gens else {_find_identity(elements)}
+    for g in elements:
+        if len(cur) == len(elements):
+            break
+        if g not in cur:
+            gens.append(g)
+            cur = set(closure(gens))
+    return gens
+
+
+@pytest.mark.parametrize("elements", [b2_group().elements,
+                                      quaternion_group()[0].elements, B3],
+                         ids=["D8", "Q8", "B3"])
+def test_small_generating_set_matches_reference(elements):
+    assert small_generating_set(elements) == \
+        _small_generating_set_reference(elements)
+    seeds = [elements[-1]]
+    assert small_generating_set(elements, seed_gens=seeds) == \
+        _small_generating_set_reference(elements, seed_gens=seeds)
 
 
 def test_product_set():

@@ -2,12 +2,16 @@
 
 from fractions import Fraction
 
+import pytest
+
+from weylkit import spin_monomial
 from weylkit.spin_monomial import (cyc_mul, cyc_add, cyc_unit, cyc_as_unit,
                                    a_dag, a_ann, op_compose, op_add,
                                    op_identity, op_is_zero, op_scale,
                                    parity_op, weight_of_index, index_of_weight,
-                                   SpinCtx, lift_unsigned, verify_relations)
-from weylkit.root_levi import decompose
+                                   SpinCtx, lift_unsigned, kappa,
+                                   verify_relations)
+from weylkit.root_levi import decompose, all_levi_subsets
 from weylkit.group_engine import FiniteGroup
 
 
@@ -80,3 +84,52 @@ def test_verify_relations_with_decomposition():
     recs = verify_relations(3, dec=dec)
     bad = [name for name, ok, _ in recs if not ok]
     assert not bad, bad
+
+
+def test_lift_unsigned_rejects_a_sigma_it_cannot_lift():
+    # a tail past the rank is never lifted, so the lift misses sigma
+    with pytest.raises(ArithmeticError, match="project onto sigma"):
+        lift_unsigned(SpinCtx(3), (1, 2, 3, 4))
+
+
+def _kappa_reference(ctx, dec, d, x, order=None):
+    """kappa from fresh lifts: the product of m x m^-1 over the maps."""
+    fs = dec.f_maps(d)
+    out = ctx.identity()
+    for k in (order if order is not None else range(d)):
+        m = lift_unsigned(ctx, fs[k])
+        out = out * (m * x * m.inv())
+    return out
+
+
+def test_kappa_matches_fresh_lifts_rank4():
+    l = 4
+    checked = 0
+    for delta in all_levi_subsets(l):
+        dec = decompose(l, sorted(delta))
+        ctx = SpinCtx(l)
+        for d in sorted(dec.blocks):
+            rev = list(reversed(range(d)))
+            for x in ctx.vbar_gens(range(1, dec.multiplicity(d) + 1)):
+                assert kappa(ctx, dec, d, x) == \
+                    _kappa_reference(ctx, dec, d, x)
+                assert kappa(ctx, dec, d, x, order=rev) == \
+                    _kappa_reference(ctx, dec, d, x, order=rev)
+                checked += 1
+    assert checked == 34    # V-bar generators over all blocks of rank 4
+
+
+def test_lifts_computed_once_per_block_weight(monkeypatch):
+    calls = []
+    real = spin_monomial.lift_unsigned
+
+    def counting(ctx, sigma):
+        calls.append(tuple(sigma))
+        return real(ctx, sigma)
+
+    monkeypatch.setattr(spin_monomial, "lift_unsigned", counting)
+    dec = decompose(4, [1, 4])          # two weight-2 blocks {1,2}, {3,4}
+    recs = verify_relations(4, dec=dec, rank_level=False)
+    assert all(ok for _, ok, _ in recs)
+    want = [f for d in sorted(dec.blocks) for f in dec.f_maps(d)]
+    assert calls == want
