@@ -26,8 +26,6 @@ from .shadow import (
     build_groups,
     w_hat,
     w_tilde,
-    w_lambda,
-    k_lambda,
     q_split,
     table1_case,
     verify_stable_cover,

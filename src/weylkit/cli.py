@@ -183,6 +183,13 @@ def cmd_verify(args):
         if args.suite in ("relations", "relweyl", "all") and args.rank < 2:
             raise UsageError(f"suite {args.suite} needs rank >= 2, "
                              f"got {args.rank}")
+        if args.suite in ("shadows", "all"):
+            if args.max_orbits < 1:
+                raise UsageError(f"suite {args.suite} needs max-orbits >= 1, "
+                                 f"got {args.max_orbits}")
+            if args.random_count < 0:
+                raise UsageError(f"suite {args.suite} needs random-count >= 0, "
+                                 f"got {args.random_count}")
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -142,11 +142,13 @@ class FiniteGroup:
 
     def _derived(self):
         """Commutator subgroup: normal closure of generator commutators."""
-        comms = set()
+        # a dict, not a set: the frontier loop walks it in insertion order, so
+        # the products made do not depend on the interpreter's hash seed
+        comms = {}
         for a in self.gens:
             for b in self.gens:
-                comms.add(a * b * a.inv() * b.inv())
-        comms.add(self.identity)
+                comms[a * b * a.inv() * b.inv()] = None
+        comms[self.identity] = None
         # close under multiplication and conjugation by group generators
         elems = set(comms)
         frontier = list(comms)
@@ -163,7 +165,7 @@ class FiniteGroup:
                     if y not in elems:
                         elems.add(y)
                         nxt.append(y)
-                        comms.add(y)
+                        comms[y] = None
             frontier = nxt
         return FiniteGroup(elements=list(elems))
 

@@ -15,16 +15,28 @@ involution in the kernel), or becomes a fresh formal token equal to nothing.
 The stabilizer groups at the three levels are weight-preserving signed
 permutation groups of the orbit set cut out by token equations; closed-form
 generator descriptions are checked against the brute-force sets whenever a
-group is built.
+group is built.  The token equations are read from config_signature, a
+tuple of tokens renamed by first occurrence that holds exactly what
+build_groups reads of a shadow.
+
+The exhaustive sweep (iter_stable_cover) keeps two memos per weight tuple:
+config_signature -> built groups, and a check key (stabilization level,
+kernel flag, first split part, formula agreement and the element sets of
+the groups) -> the records of verify_stable_cover.  Both are dropped when
+the sweep moves to the next weight tuple: a signature holds the weights, so
+it never recurs, and the check key leaves them out, so it holds only within
+one tuple.
 """
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass, field, replace
 import json
+import logging
 
 from .signed_perm import (SignedPerm, full_group, in_d_subgroup, flip,
                           transposition, full_group_order)
 from .group_engine import FiniteGroup, closure, small_generating_set
+
+log = logging.getLogger(__name__)
 
 
 VALID_LIN = (1, 2, 4, "other")
@@ -75,8 +87,7 @@ class CuspidalShadow:
 
     def c_mu(self, class_id):
         """Does the flip twist of this class rewrite to the duality twist."""
-        o = self.classes()[class_id]
-        return (o.weight == 1 and self.h0_in_ker and o.lin_order == 4)
+        return _c_mu(self, self.classes()[class_id])
 
     def to_json(self):
         return json.dumps({
@@ -119,16 +130,22 @@ def make_shadow(orbits, h0_in_ker, stab_level, mu_pair=None, fp=None,
 # ---------------------------------------------------------------------------
 # admissibility
 
+def _c_mu(shadow, o):
+    """CuspidalShadow.c_mu for the OrbitSpec o of a class."""
+    return o.weight == 1 and shadow.h0_in_ker and o.lin_order == 4
+
+
 def mu_symmetric(shadow):
     """Whether a global duality-twist coset can exist at all: each class must
     see its twisted partner with equal multiplicity, or rewrite in place."""
     counts = shadow.class_counts()
+    classes = shadow.classes()
     mu = shadow.mu
     for t, n in counts.items():
         if t in mu:
             if counts.get(mu[t], 0) != n:
                 return False
-        elif not shadow.c_mu(t):
+        elif not _c_mu(shadow, classes[t]):
             return False
     return True
 
@@ -199,8 +216,8 @@ def validate(shadow):
         else:
             if (a.c_stable, a.eps) != (b.c_stable, b.eps):
                 msgs.append(f"mu pair {t},{s}: flip data differs")
-    for t in classes:
-        if shadow.c_mu(t) and t in mu:
+    for t, o in classes.items():
+        if _c_mu(shadow, o) and t in mu:
             msgs.append(f"class {t}: order-4 rewrite class must have an "
                         "absent duality partner in standardized form")
     u1 = next((t for t, o in classes.items() if o.lin_order == 1), None)
@@ -263,28 +280,20 @@ def validate(shadow):
 # ---------------------------------------------------------------------------
 # token algebra and stabilizer sets
 
-def _resolve(shadow, t, c_bit, mu_bit):
-    """Canonical token (base, mu, c) after the standardized rewrites."""
-    cls = shadow.classes()[t]
+def _resolve(shadow, classes, mu, t, c_bit, mu_bit):
+    """Canonical token (base, mu, c) after the standardized rewrites; classes
+    and mu are the shadow's classes() and mu, computed once by the caller."""
+    cls = classes[t]
     if c_bit:
         if cls.c_stable:
             c_bit = 0
-        elif shadow.c_mu(t):
+        elif _c_mu(shadow, cls):
             c_bit = 0
             mu_bit ^= 1
-    if mu_bit:
-        mu = shadow.mu
-        if t in mu:
-            t = mu[t]
-            mu_bit = 0
+    if mu_bit and t in mu:
+        t = mu[t]
+        mu_bit = 0
     return (t, mu_bit, c_bit)
-
-
-def _fp_power(shadow, t, k):
-    fpm = shadow.fp_map
-    for _ in range(k):
-        t = fpm.get(t, t)
-    return t
 
 
 def fp_order(shadow):
@@ -299,34 +308,78 @@ def fp_order(shadow):
     return n
 
 
-def _in_stab(shadow, p, a, k):
-    """Whether the signed permutation fixes the decorated structure up to the
-    a-th duality twist and k-th field twist."""
+def config_signature(shadow):
+    """The token pattern: exactly what build_groups reads of a shadow.
+
+    A tuple (weights, fp_order, own, twisted, flags): own[i] holds the
+    resolved tokens of orbit i's class unflipped and flipped; twisted[a*K + k]
+    holds, per orbit j, the resolved token of fp^k(class_j) under the a-th
+    duality twist (K = fp_order); flags[i] is orbit i's (c_stable, eps).
+    Tokens are renamed 0, 1, ... by first occurrence, so class names do not
+    matter and equal signatures give equal stabilizer groups.
+    """
     orbs = shadow.orbits
-    for i in range(len(orbs)):
-        img = p.imgs[i]
-        j, flipped = abs(img), img < 0
-        lhs = _resolve(shadow, orbs[i].class_id, 1 if flipped else 0, 0)
-        rhs = _resolve(shadow, _fp_power(shadow, orbs[j - 1].class_id, k), 0, a)
-        if lhs != rhs:
-            return False
-    return True
+    classes = shadow.classes()
+    mu = shadow.mu
+    fpm = shadow.fp_map
+    korder = fp_order(shadow)
+    names = {}
+
+    def tok(t, c_bit, mu_bit):
+        return names.setdefault(_resolve(shadow, classes, mu, t, c_bit, mu_bit),
+                                len(names))
+
+    own = tuple((tok(o.class_id, 0, 0), tok(o.class_id, 1, 0)) for o in orbs)
+    twisted = []
+    for a in (0, 1):
+        cur = [o.class_id for o in orbs]
+        for _ in range(korder):
+            twisted.append(tuple(tok(t, 0, a) for t in cur))
+            cur = [fpm.get(t, t) for t in cur]
+    flags = tuple((o.c_stable, o.eps) for o in orbs)
+    return (shadow.weights, korder, own, tuple(twisted), flags)
 
 
-def _tilde_ok(shadow, p):
+def _stab_strata(pattern, amb):
+    """The elements of the ambient group that fix the decorated structure up
+    to the a-th duality twist and k-th field twist, as {(a, k): elements} for
+    the nonempty strata; (0, 0) holds the identity.
+
+    p is in stratum (a, k) when, for every orbit i with p(i) = +-j, the token
+    of class_i (flipped when the sign is negative) equals the token of
+    fp^k(class_j) under the a-th duality twist.
+    """
+    weights, korder, own, twisted, _ = pattern
+    points = range(1, len(weights) + 1)
+    out = {}
+    for a in (0, 1):
+        for kk in range(korder):
+            rhs = twisted[a * korder + kk]
+            # the signed images each orbit may take
+            allowed = [frozenset([j for j in points if rhs[j - 1] == u]
+                                 + [-j for j in points if rhs[j - 1] == f])
+                       for u, f in own]
+            s = [p for p in amb
+                 if all(v in ok for v, ok in zip(p.imgs, allowed))]
+            if s:
+                out[(a, kk)] = s
+    return out
+
+
+def _tilde_ok(pattern, p):
     """Membership at the finest level: class-preserving, flips only on
     flip-stable orbits, evenly many on the eps=-1 ones."""
-    orbs = shadow.orbits
+    _, _, own, _, flags = pattern
     neg_flips = 0
-    for i in range(len(orbs)):
-        img = p.imgs[i]
-        j = abs(img)
-        if orbs[i].class_id != orbs[j - 1].class_id:
+    for i, img in enumerate(p.imgs):
+        # the unflipped tokens of two orbits agree iff their classes do
+        if own[i][0] != own[abs(img) - 1][0]:
             return False
         if img < 0:
-            if not orbs[i].c_stable:
+            c_stable, eps = flags[i]
+            if not c_stable:
                 return False
-            if orbs[i].eps == -1:
+            if eps == -1:
                 neg_flips += 1
     return neg_flips % 2 == 0
 
@@ -386,33 +439,25 @@ def build_groups(shadow):
     """Enumerate all stabilizer groups and check the closed forms.
 
     The brute-force sets (token equations over the full weight-preserving
-    ambient group) are authoritative; the generator descriptions for the hat
-    and tilde levels must close onto exactly the same sets.
+    ambient group, read from config_signature) are authoritative; the
+    generator descriptions for the hat and tilde levels, read from the
+    shadow itself, must close onto exactly the same sets.
     """
+    pattern = config_signature(shadow)
     weights = shadow.weights
     amb = full_group(weights)
-    hat_set = [p for p in amb if _in_stab(shadow, p, 0, 0)]
-    til_set = [p for p in hat_set if _tilde_ok(shadow, p)]
-    hat_formula = closure(_hat_gens(shadow))
-    til_formula = closure(_tilde_gens(shadow))
+    strata = _stab_strata(pattern, amb)
+    hat_set = strata[(0, 0)]
+    til_set = [p for p in hat_set if _tilde_ok(pattern, p)]
+    hat_gens = _hat_gens(shadow)
+    til_gens = _tilde_gens(shadow)
     match = {
-        "hat": set(hat_formula) == set(hat_set),
-        "tilde": set(til_formula) == set(til_set),
+        "hat": set(closure(hat_gens)) == set(hat_set),
+        "tilde": set(closure(til_gens)) == set(til_set),
     }
-    korder = fp_order(shadow)
-    strata = {}
-    for a in (0, 1):
-        for kk in range(korder):
-            if a == 0 and kk == 0:
-                continue
-            s = [p for p in amb if _in_stab(shadow, p, a, kk)]
-            if s:
-                strata[(a, kk)] = s
-    bar_set = list(hat_set) + strata.get((1, 0), [])
-    k_set = list(hat_set)
-    for s in strata.values():
-        k_set.extend(s)
-    k_set = sorted(set(k_set), key=lambda p: p.key())
+    bar_set = hat_set + strata.get((1, 0), [])
+    k_set = sorted({p for s in strata.values() for p in s},
+                   key=lambda p: p.key())
 
     x = None
     mu_coset = strata.get((1, 0), [])
@@ -426,16 +471,16 @@ def build_groups(shadow):
         gens = small_generating_set(sub, seed_gens=seeds)
         return FiniteGroup(gens=gens, elements=sub)
 
-    w_bar_hat = FiniteGroup(gens=_hat_gens(shadow), elements=hat_set)
-    w_bar_tilde = FiniteGroup(gens=_tilde_gens(shadow), elements=til_set)
-    w_hat = dgrp(hat_set, _hat_gens(shadow))
-    w_tilde = dgrp(til_set, _tilde_gens(shadow))
-    bar_gens = list(_hat_gens(shadow)) + ([x] if x else [])
+    w_bar_hat = FiniteGroup(gens=hat_gens, elements=hat_set)
+    w_bar_tilde = FiniteGroup(gens=til_gens, elements=til_set)
+    w_hat = dgrp(hat_set, hat_gens)
+    w_tilde = dgrp(til_set, til_gens)
+    bar_gens = hat_gens + ([x] if x else [])
     bar_sorted = sorted(set(bar_set), key=lambda p: p.key())
     bgens = small_generating_set(bar_sorted, seed_gens=bar_gens)
     w_bar = FiniteGroup(gens=bgens, elements=bar_sorted)
     w = dgrp(bar_set, bar_gens)
-    kgens = small_generating_set(k_set, seed_gens=_hat_gens(shadow))
+    kgens = small_generating_set(k_set, seed_gens=hat_gens)
     k = FiniteGroup(gens=kgens, elements=k_set)
     match["bar_closed"] = set(closure(bgens)) == set(bar_sorted)
     match["k_closed"] = set(closure(kgens)) == set(k_set)
@@ -456,17 +501,6 @@ def w_hat(shadow):
 
 def w_tilde(shadow):
     return build_groups(shadow).w_tilde
-
-
-def w_lambda(shadow):
-    """The full-level group and the canonical duality-coset witness."""
-    g = build_groups(shadow)
-    return g.w, g.x
-
-
-def k_lambda(shadow):
-    """The conservative outer stabilizer (duality and field twists allowed)."""
-    return build_groups(shadow).k
 
 
 # ---------------------------------------------------------------------------
@@ -852,20 +886,6 @@ def enumerate_shadows(weights, stab_levels=VALID_STAB,
                         yield sh
 
 
-def config_signature(shadow):
-    """Cache key capturing everything the group machinery depends on."""
-    classes = shadow.classes()
-    order = sorted(classes)
-    index = {t: i for i, t in enumerate(order)}
-    mu = shadow.mu
-    fpm = shadow.fp_map
-    rows = tuple((classes[t].weight, classes[t].c_stable, classes[t].eps,
-                  str(classes[t].lin_order), shadow.class_counts()[t],
-                  index.get(mu.get(t), -1), index.get(fpm.get(t, t)))
-                 for t in order)
-    return (rows, shadow.h0_in_ker, shadow.stab_level)
-
-
 def _weight_multisets(max_orbits, domain=(1, 2, 3, 4)):
     """All weight tuples with up to max_orbits entries, at most one of them
     the distinguished weight -1."""
@@ -879,28 +899,71 @@ def _weight_multisets(max_orbits, domain=(1, 2, 3, 4)):
     return out
 
 
+def _check_key(shadow, groups):
+    """Everything verify_stable_cover reads of a shadow and its groups, once
+    the weight tuple is fixed (the normalizers in q_split live in ambient
+    groups of sub-tuples of the weights)."""
+    return (shadow.stab_level, shadow.h0_in_ker,
+            tuple(sorted(q1_positions(shadow))),
+            tuple(groups.formula_match.items()),
+            *(frozenset(grp.elements) for grp in
+              (groups.w, groups.k, groups.w_hat, groups.w_tilde)))
+
+
+def iter_stable_cover(max_orbits=4, domain=(1, 2, 3, 4), size_cap=2000):
+    """Yield (shadow, records, fresh) for every admissible shadow with at most
+    max_orbits orbits, where records are what verify_stable_cover(shadow)
+    returns and fresh says whether this shadow's check ran or came from the
+    memo.
+
+    Two memos, both dropped after each weight tuple: config_signature -> the
+    built groups, which another shadow with that signature reuses with
+    itself as their shadow (a signature holds the weights, so it never
+    recurs across tuples); and _check_key -> the records (the key leaves the
+    weights out, so it holds only within one tuple).
+    """
+    for weights in _weight_multisets(max_orbits, domain):
+        built = {}
+        checked = {}
+        for sh in enumerate_shadows(weights):
+            sig = config_signature(sh)
+            g = built.get(sig)
+            if g is None:
+                g = built[sig] = build_groups(sh)
+            else:
+                g = replace(g, shadow=sh)
+            key = _check_key(sh, g)
+            recs = checked.get(key)
+            fresh = recs is None
+            if fresh:
+                # a module-level lookup at call time, so that a wrapper put
+                # on shadow.verify_stable_cover sees every check
+                recs = checked[key] = verify_stable_cover(
+                    sh, groups=g, size_cap=size_cap)
+            yield sh, recs, fresh
+
+
 def sweep_stable_cover(max_orbits=4, domain=(1, 2, 3, 4), size_cap=2000,
                        progress=None):
     """Run the covering check over every admissible shadow with at most the
     given number of orbits, weight values drawn from the domain plus the
-    distinguished weight.  Results are cached per configuration signature."""
-    seen = {}
+    distinguished weight.
+
+    The checks come from iter_stable_cover, which builds the groups once per
+    config_signature and verifies once per _check_key within each weight
+    tuple; "distinct" counts the verify_stable_cover calls.  With progress=N
+    every N-th call is logged at INFO level."""
     failures = []
-    total = 0
-    for weights in _weight_multisets(max_orbits, domain):
-        for sh in enumerate_shadows(weights):
-            total += 1
-            sig = config_signature(sh)
-            if sig in seen:
-                continue
-            recs = verify_stable_cover(sh, size_cap=size_cap)
-            ok = all(r[1] for r in recs)
-            seen[sig] = ok
-            if not ok:
-                failures.append((sh.to_json(), recs))
-            if progress and len(seen) % progress == 0:
-                print(f"  {len(seen)} distinct configs, {total} shadows")
-    return {"shadows": total, "distinct": len(seen),
+    total = verified = 0
+    for sh, recs, fresh in iter_stable_cover(max_orbits, domain, size_cap):
+        total += 1
+        if fresh:
+            verified += 1
+            if progress and verified % progress == 0:
+                log.info("%d verifications, %d shadows", verified, total)
+        if not all(r[1] for r in recs):
+            failures.append((sh.to_json(), recs))
+    return {"shadows": total, "distinct": verified,
             "failures": failures, "ok": not failures}
 
 

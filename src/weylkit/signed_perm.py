@@ -56,24 +56,6 @@ class SignedPerm:
         """Underlying permutation, forgetting signs."""
         return tuple(abs(j) for j in self.imgs)
 
-    def cycles_text(self):
-        """Cycle notation on signed points, e.g. '(1,2)(-1,-2)' or '(1,-1)'."""
-        seen = set()
-        parts = []
-        for start in list(range(1, self.n + 1)) + [-i for i in range(1, self.n + 1)]:
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            x = self.act(start)
-            while x != start:
-                cyc.append(x)
-                seen.add(x)
-                x = self.act(x)
-            if len(cyc) > 1:
-                parts.append("(" + ",".join(str(v) for v in cyc) + ")")
-        return "".join(parts) if parts else "()"
-
     def to_json(self):
         return json.dumps(list(self.imgs))
 
@@ -141,51 +123,6 @@ def full_group_order(weights):
     out = 2 ** n
     for c in counts.values():
         out *= factorial(c)
-    return out
-
-
-def young_subgroup(n, parts, signed=True):
-    """Generators of the (signed) Young subgroup for a partition of {1..n}.
-
-    parts is an iterable of disjoint index collections.  With signed=True the
-    factor on each part is the full signed symmetric group on it; otherwise
-    only unsigned swaps are produced.
-    """
-    gens = []
-    for part in parts:
-        part = sorted(part)
-        for a, b in zip(part, part[1:]):
-            gens.append(transposition(n, a, b))
-        if signed and part:
-            gens.append(flip(n, part[0]))
-    return gens
-
-
-def conjugate_by_unsigned(p, sigma):
-    """p conjugated by the unsigned permutation sigma (tuple, sigma[i-1]=image)."""
-    n = p.n
-    s = SignedPerm(tuple(sigma))
-    return s * p * s.inv()
-
-
-def kappa_bar(dec, d, p):
-    """Diagonal copy of a signed permutation on {1..a_d} across the weight-d orbits.
-
-    Conjugates p by each of the d extensions of j -> I_{d,j}(k) and multiplies;
-    the factors commute because the extensions hit disjoint block positions on
-    the moved points.
-    """
-    l = dec.rank
-    out = SignedPerm.identity(l)
-    a_d = dec.multiplicity(d)
-    if p.n != l:
-        # lift p on {1..a_d} to {1..l} fixing the rest
-        imgs = list(range(1, l + 1))
-        for i in range(a_d):
-            imgs[i] = p.imgs[i]
-        p = SignedPerm(tuple(imgs))
-    for f in dec.f_maps(d):
-        out = out * conjugate_by_unsigned(p, f)
     return out
 
 

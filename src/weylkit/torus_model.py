@@ -222,9 +222,6 @@ def lang2_preimage(h, q):
     return TorusElt(h.K, tuple(r[:-1]), r[-1])
 
 
-_SYMBOLS = {"1": 0, "w": "quarter", "-1": "half", "z": 2}
-
-
 def format_h_set(indices, symbol):
     """Text form like 'h[1,3](w)'."""
     return "h[" + ",".join(str(i) for i in sorted(set(indices))) + f"]({symbol})"

@@ -109,6 +109,17 @@ def test_verify_rank_below_two_exits_2(suite):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("flag, value", [("--max-orbits", "0"),
+                                         ("--random-count", "-3")])
+def test_verify_bad_shadows_size_exits_2(flag, value):
+    r = run_cli("verify", "--suite", "shadows", flag, value)
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[-1].startswith(f"error: suite shadows "
+                                                f"needs {flag[2:]} >= ")
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 def test_unknown_suite_exits_2():
     r = run_cli("verify", "--suite", "nonsense")
     assert r.returncode == 2

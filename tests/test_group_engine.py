@@ -1,5 +1,9 @@
 """Generic finite-group machinery over hashable elements with * and inv."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,3 +143,34 @@ def test_quaternion_group_structure():
     assert sorted(orders) == [1, 2, 4, 4, 4, 4, 4, 4]
     der = q8.derived_subgroup()
     assert set(der.elements) == {q8.identity, z}
+
+
+_COUNT_PRODUCTS = """
+from weylkit import spin_monomial
+from weylkit.char_engine import verify_halves_extension
+count = 0
+orig = spin_monomial.MonomialElt.__mul__
+
+def mul(a, b):
+    global count
+    count += 1
+    return orig(a, b)
+
+spin_monomial.MonomialElt.__mul__ = mul
+verify_halves_extension(3, seed=0)
+print(count)
+"""
+
+
+def test_product_count_does_not_depend_on_hash_seed():
+    # FiniteGroup._derived walks its commutators in insertion order; in hash
+    # order the number of products made changed with PYTHONHASHSEED
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    counts = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.abspath(src))
+        r = subprocess.run([sys.executable, "-c", _COUNT_PRODUCTS],
+                           capture_output=True, text=True, env=env, check=True)
+        counts.append(int(r.stdout))
+    assert counts[0] == counts[1] > 0

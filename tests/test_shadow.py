@@ -1,5 +1,6 @@
 """Shadow admissibility, stabilizer towers, the split, and the check sweeps."""
 
+import logging
 import random
 
 import pytest
@@ -11,7 +12,8 @@ from weylkit.shadow import (OrbitSpec, CuspidalShadow, make_shadow,
                             obstructed_pair_example, verify_stable_cover,
                             enumerate_shadows, sweep_stable_cover,
                             random_shadow, verify_random_shadows,
-                            config_signature)
+                            config_signature, iter_stable_cover,
+                            _weight_multisets, _check_key)
 
 
 def simple_shadow(**kw):
@@ -148,6 +150,91 @@ def test_config_signature_separates():
     b = make_shadow([OrbitSpec(2, "t", False)], True, "Ltilde",
                     mu_pair={"t": "t"})
     assert config_signature(a) != config_signature(b)
+
+
+def _renamed(sh, names):
+    """The shadow with every class id t replaced by names[t]."""
+    orbs = [OrbitSpec(o.weight, names[o.class_id], o.c_stable, eps=o.eps,
+                      ext_split=o.ext_split, lin_order=o.lin_order)
+            for o in sh.orbits]
+    return make_shadow(orbs, sh.h0_in_ker, sh.stab_level,
+                       mu_pair={names[t]: names[s] for t, s in sh.mu_pair},
+                       fp={names[t]: names[s] for t, s in sh.fp})
+
+
+@pytest.fixture(scope="module")
+def shadows3():
+    """Every admissible shadow with at most three orbits."""
+    return [sh for w in _weight_multisets(3) for sh in enumerate_shadows(w)]
+
+
+def test_config_signature_ignores_class_names(shadows3):
+    # reversed, so that the renaming also changes the sort order of classes
+    for sh in shadows3:
+        ids = sorted(sh.classes())
+        names = {t: f"c{len(ids) - k}" for k, t in enumerate(ids)}
+        assert config_signature(_renamed(sh, names)) == config_signature(sh)
+    # a field twist swapping two classes, so the signature has twisted rows
+    # for k = 1 as well
+    orbs = [OrbitSpec(2, "a", True, eps=1), OrbitSpec(2, "b", True, eps=1)]
+    sh = make_shadow(orbs, True, "Ltilde", fp={"a": "b", "b": "a"})
+    other = _renamed(sh, {"a": "y", "b": "x"})
+    assert config_signature(sh)[1] == 2
+    assert config_signature(other) == config_signature(sh)
+    g, h = build_groups(sh), build_groups(other)
+    assert g.k.order == 8 and g.w.order == 4
+    assert set(g.k.elements) == set(h.k.elements)
+
+
+def _group_facts(g):
+    sets = tuple(frozenset(grp.elements) for grp in
+                 (g.w_bar_hat, g.w_hat, g.w_bar_tilde, g.w_tilde, g.w_bar,
+                  g.w, g.k))
+    return sets, g.x, g.formula_match
+
+
+def test_equal_signatures_give_equal_groups(shadows3):
+    first = {}
+    shared = 0
+    for sh in shadows3:
+        facts = _group_facts(build_groups(sh))
+        sig = config_signature(sh)
+        if sig in first:
+            shared += 1
+            assert facts == first[sig], sh.to_json()
+        else:
+            first[sig] = facts
+    assert shared > len(shadows3) // 2
+
+
+def test_sweep_records_equal_fresh_checks(shadows3):
+    total = fresh_count = 0
+    for sh, recs, fresh in iter_stable_cover(max_orbits=3):
+        assert sh == shadows3[total]
+        assert recs == verify_stable_cover(sh), sh.to_json()
+        total += 1
+        fresh_count += fresh
+    assert total == len(shadows3) == 6876
+    assert fresh_count < total // 2
+
+
+def test_check_key_separates_split_parts():
+    # equal groups, but the order-4 orbit is in the first split part and the
+    # "other" one is not; q_split reads the parts, so the keys must differ
+    j = OrbitSpec(-1, "j", True, eps=1)
+    a, b = (make_shadow([j, OrbitSpec(1, "t", False, lin_order=lin)], True,
+                        "Lhat") for lin in (4, "other"))
+    ga, gb = build_groups(a), build_groups(b)
+    assert _group_facts(ga) == _group_facts(gb)
+    assert q1_positions(a) != q1_positions(b)
+    assert _check_key(a, ga) != _check_key(b, gb)
+
+
+def test_sweep_progress_is_logged(caplog, capsys):
+    with caplog.at_level(logging.INFO, logger="weylkit.shadow"):
+        res = sweep_stable_cover(max_orbits=2, progress=1)
+    assert len(caplog.records) == res["distinct"] < res["shadows"]
+    assert capsys.readouterr().out == ""
 
 
 def test_random_shadows_are_admissible():
