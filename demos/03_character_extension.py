@@ -1,9 +1,10 @@
-"""Extending linear characters: cocycle witnesses and a genuine obstruction.
+"""Extending linear characters: verified witnesses and a genuine obstruction.
 
-A linear character of a normal subgroup extends to the big group exactly
-when the distinguished central cyclic of the associated central extension
-misses the derived subgroup.  The solver returns either a verified value
-dict on the whole group or a nonzero obstruction certificate.
+A stable linear character of a normal subgroup H extends to the big group K
+exactly when it is trivial on H meet K', the intersection with the derived
+subgroup.  The solver returns either a verified value dict on the whole
+group or an obstruction certificate: the least nonzero value that m times
+the character (m its order) takes on H meet K'.
 """
 
 from fractions import Fraction

@@ -24,8 +24,6 @@ from .shadow import (
     make_shadow,
     validate,
     build_groups,
-    w_hat,
-    w_tilde,
     q_split,
     table1_case,
     verify_stable_cover,

@@ -12,8 +12,9 @@ to Q/Z (Fraction values mod 1).
 
 The extension machinery answers "does this character of a normal subgroup
 extend to (a subgroup of) its stabilizer": via induction/decomposition for
-table characters, and via an explicit central-extension cocycle construction
-with a verifiable witness or obstruction certificate for linear characters.
+table characters, and for linear characters by the derived-subgroup
+criterion (a stable lambda of H extends to K iff it is trivial on H meet
+K'), with a verifiable witness or obstruction certificate.
 """
 
 from dataclasses import dataclass
@@ -402,9 +403,6 @@ class CharTable:
         assert d < self.p // 2
         return d
 
-    def value_on(self, chi, g):
-        return chi[self._class_of[g]]
-
     def class_perm(self, g):
         """Class index of g x g^-1 for each class representative x."""
         gi = g.inv()
@@ -447,10 +445,6 @@ class CharTable:
     def decompose(self, chi):
         """Multiplicities of chi against the irreducibles (exact integers)."""
         return [self.inner(chi, row) for row in self.irreducibles]
-
-    def constituents(self, chi):
-        return [(row, m) for row, m in zip(self.irreducibles, self.decompose(chi))
-                if m]
 
 
 def _unit(j, r):
@@ -595,41 +589,7 @@ def char_order(lam):
 
 
 # ---------------------------------------------------------------------------
-# central-extension cocycle machinery for linear characters
-
-class _ExtCtx:
-    def __init__(self, m, cocycle, rep_of):
-        self.m = m
-        self.cocycle = cocycle      # (rep_key, rep_key) -> int mod m
-        self.rep_of = rep_of
-
-
-@dataclass(frozen=True)
-class ExtElt:
-    """(z, q) in the central extension C_m x_c (K/H)."""
-    ctx: object
-    z: int
-    q: object
-
-    def __mul__(self, other):
-        c = self.ctx.cocycle[(self.q.key(), other.q.key())]
-        return ExtElt(self.ctx, (self.z + other.z + c) % self.ctx.m,
-                      self.q * other.q)
-
-    def inv(self):
-        qi = self.q.inv()
-        c = self.ctx.cocycle[(self.q.key(), qi.key())]
-        return ExtElt(self.ctx, (-self.z - c) % self.ctx.m, qi)
-
-    def __eq__(self, other):
-        return self.z == other.z and self.q == other.q
-
-    def __hash__(self):
-        return hash(("ext", self.z, self.q))
-
-    def key(self):
-        return (self.q.key(), self.z)
-
+# extension of linear characters
 
 @dataclass
 class ExtensionResult:
@@ -642,11 +602,14 @@ class ExtensionResult:
 def linear_ext_cocycle(lam, normal, big, verify_samples=200, seed=0):
     """Extend a linear character of a normal subgroup to the big group.
 
-    Builds the central extension of K/H by the cyclic value group whose
-    2-cocycle is lam evaluated on transversal defects.  The extension of lam
-    exists iff the distinguished central cyclic meets the derived subgroup
-    trivially; a witness (full value dict, verified multiplicative) or an
-    obstruction certificate is returned.
+    A K-stable linear character lam of H extends to K iff it is trivial on
+    H meet K' (Isaacs, Character Theory of Finite Groups, Ch. 5-6).  This is
+    the cocycle criterion read on K itself: the central extension E of K/H
+    by the value group C_m of lam, with 2-cocycle lam on transversal
+    defects, is K/ker(lam), so E' meets C_m in exactly m*lam(H meet K').  A
+    witness (full value dict, verified multiplicative) or an obstruction
+    certificate ("central-derived intersection", z, m), with z the least
+    nonzero value of m*lam on H meet K', is returned.
     """
     import random
     m = char_order(lam)
@@ -657,15 +620,6 @@ def linear_ext_cocycle(lam, normal, big, verify_samples=200, seed=0):
             if lam[g * h * gi] != lam[h]:
                 return ExtensionResult(False, {}, ("not invariant", g, h),
                                        "character is not stable, no extension")
-    q = quotient(big, normal)
-    rep_of = q.elements[0].ctx.rep_of
-    id_rep = rep_of[big.identity]
-    # normalized transversal: the identity coset is represented by the
-    # identity, so the cocycle is normalized and (0, id) is the unit of E
-    reps = {c: (big.identity if c.rep == id_rep else c.rep)
-            for c in q.elements}
-    coset_of_rep = {c.rep: c for c in q.elements}
-    rep_inv = {c: t.inv() for c, t in reps.items()}
     lam_m = {}
     for h in normal.elements:
         val = lam[h] * m
@@ -673,57 +627,34 @@ def linear_ext_cocycle(lam, normal, big, verify_samples=200, seed=0):
             raise ArithmeticError(f"character value {lam[h]} times its "
                                   f"order {m} is not an integer")
         lam_m[h] = int(val) % m
-    # normal subgroup: t1 t2 lies in the coset c1 c2, so this one product
-    # gives that coset and, times the inverse of its transversal element,
-    # the defect in the normal subgroup
-    cocycle = {}
-    for c1 in q.elements:
-        t1, k1 = reps[c1], c1.key()
-        for c2 in q.elements:
-            t12 = t1 * reps[c2]
-            c12 = coset_of_rep[rep_of[t12]]
-            cocycle[(k1, c2.key())] = lam_m[t12 * rep_inv[c12]]
-    ctx = _ExtCtx(m, cocycle, rep_of)
-    E = FiniteGroup(elements=[ExtElt(ctx, z, c)
-                              for z in range(m) for c in q.elements])
-    E.reduce_gens()
-    Eder = E.derived_subgroup()
-    qid = coset_of_rep[id_rep]
-    bad = [z for z in range(1, m) if ExtElt(ctx, z, qid) in Eder]
+    der = big.derived_subgroup()
+    bad = sorted({lam_m[h] for h in normal.elements if h in der} - {0})
     if bad:
         cert = ("central-derived intersection", bad[0], m)
         return ExtensionResult(False, {}, cert,
                                f"zeta^{bad[0]}/{m} central element lies in the "
                                "derived subgroup; no linear extension exists")
 
-    # build a linear character of E agreeing with z/m on the central cyclic
-    phi = {}
-    for z in range(m):
-        zc = ExtElt(ctx, z, qid)
-        for e in Eder.elements:
-            phi[zc * e] = Fraction(z, m)
-    for g in sorted(E.elements, key=lambda e: e.key()):
-        if g in phi:
+    # 0 on K', lam on H K', then one cyclic step at a time: a homomorphism
+    # on a subgroup S containing K' extends to S<g> = union of S g^t, t < k,
+    # by any k-th part of its value at g^k
+    witness = {d * h: lam[h] % 1 for h in normal.elements for d in der}
+    for g in big.elements:
+        if g in witness:
             continue
         k = 1
         x = g
-        while x not in phi:
+        while x not in witness:
             x = x * g
             k += 1
-        val = phi[x] / k
+        val = witness[x] / k
         new = {}
-        for h, vh in phi.items():
+        for h, vh in witness.items():
             acc = h
             for t in range(1, k):
                 acc = acc * g
                 new[acc] = (vh + t * val) % 1
-        phi.update(new)
-    # pull back to the big group: Lambda(t_q h) = phi(0, q) + lam(h)
-    witness = {}
-    for g in big.elements:
-        c = coset_of_rep[rep_of[g]]
-        h = rep_inv[c] * g
-        witness[g] = (phi[ExtElt(ctx, 0, c)] + lam[h]) % 1
+        witness.update(new)
 
     # verification: full restriction, generator pairs, random sample pairs
     for h in normal.elements:
@@ -757,7 +688,7 @@ def verify_halves_extension(lp, seed=0):
 
     Works at rank lp with I = {1..lp}: H = H_I (elementary abelian of order
     2^lp) inside V-bar_I (order 4^lp * lp!).  Each of the 2^lp linear
-    characters is extended to its stabilizer with a verified cocycle witness.
+    characters is extended to its stabilizer with a verified witness.
     Characters nontrivial on h_0 additionally get the sign-free normal form:
     a conjugate extending to the full twisted-diagonal subgroup with constant
     fourth-root values, whose stabilizer image is the plain symmetric group,
@@ -986,10 +917,6 @@ class WreathCtx:
     def s_identity(self):
         return (tuple(0 for _ in self.invs), self.y_id)
 
-    def char_conj(self, c, g):
-        """(g . char)(x) = char(g^-1 x g) = char(A_{y^-1} x)."""
-        return _char_after(c, self.y_mats[self.y_inv[g[1]]], self.invs)
-
     def char_alpha(self, c, al):
         """(alpha . char)(x) = char(alpha^-1(x))."""
         return _char_after(c, _mat_inverse(al, self.invs), self.invs)
@@ -1027,10 +954,6 @@ class WreathCtx:
             inv[s] = i
         parts = tuple(self.s_inv(f[inv[i]]) for i in range(self.a))
         return (parts, tuple(inv))
-
-    def w_identity(self):
-        return (tuple(self.s_identity() for _ in range(self.a)),
-                tuple(range(self.a)))
 
     def w_embed_x(self, z):
         return (tuple((x, self.y_id) for x in z), tuple(range(self.a)))
@@ -1103,10 +1026,6 @@ def _base_actions(ctx):
     """The closure of the conjugation and outer actions on (chars, S)."""
     s_elems = ctx.s_elements()
     s_pos = {g: i for i, g in enumerate(s_elems)}
-
-    def from_maps(cmapf, smapf):
-        smap = tuple(s_pos[smapf(g)] for g in s_elems)
-        return (smap, cmapf)
 
     gens = []
     for s0 in s_elems:

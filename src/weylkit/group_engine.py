@@ -106,10 +106,6 @@ class FiniteGroup:
                 m[g] = i
         return m
 
-    def centralizer(self, g):
-        return FiniteGroup(elements=[x for x in self.elements
-                                     if x * g == g * x])
-
     def center(self):
         out = self.elements
         for g in self.gens:

@@ -85,10 +85,6 @@ class CuspidalShadow:
             out[o.class_id] = out.get(o.class_id, 0) + 1
         return out
 
-    def c_mu(self, class_id):
-        """Does the flip twist of this class rewrite to the duality twist."""
-        return _c_mu(self, self.classes()[class_id])
-
     def to_json(self):
         return json.dumps({
             "orbits": [{"weight": o.weight, "class": o.class_id,
@@ -131,7 +127,8 @@ def make_shadow(orbits, h0_in_ker, stab_level, mu_pair=None, fp=None,
 # admissibility
 
 def _c_mu(shadow, o):
-    """CuspidalShadow.c_mu for the OrbitSpec o of a class."""
+    """Does the flip twist of the class of OrbitSpec o rewrite to the
+    duality twist."""
     return o.weight == 1 and shadow.h0_in_ker and o.lin_order == 4
 
 
@@ -495,14 +492,6 @@ def build_groups(shadow):
                         w_bar=w_bar, w=w, k=k, x=x, formula_match=match)
 
 
-def w_hat(shadow):
-    return build_groups(shadow).w_hat
-
-
-def w_tilde(shadow):
-    return build_groups(shadow).w_tilde
-
-
 # ---------------------------------------------------------------------------
 # the two-part split
 
@@ -698,7 +687,7 @@ def _table_pair(big, sub):
     return _cached_table(big, p=p), _cached_table(sub, p=p)
 
 
-def _stable_chi_exists(tw, tt, eta0, stab_gens, require_all=False):
+def _stable_chi_exists(tw, tt, eta0, stab_gens):
     """Constituents over eta0 and their stability under the given elements."""
     found_stable = False
     all_stable = True
@@ -738,13 +727,11 @@ def verify_stable_cover(shadow, groups=None, size_cap=2000):
         return records
 
     small = groups.w_tilde if shadow.stab_level == "Ltilde" else groups.w_hat
-    norm = [g for g in groups.k.elements
-            if all((g * s * g.inv()) in small for s in small.gens)]
-    norm_w = set(x for x in norm
-                 if all((x * s * x.inv()) in groups.w for s in groups.w.gens))
+    norm = groups.k.normalizer(small)
+    norm_w = norm.normalizer(groups.w)
     tw, tt = _table_pair(groups.w, small)
     per = []
-    for eta0, stab in tt.stabilizers(norm):
+    for eta0, stab in tt.stabilizers(norm.elements):
         stab_gens = small_generating_set(stab) if len(stab) > 6 else stab
         stab_gens = [x for x in stab_gens if x in norm_w]
         exists, every = _stable_chi_exists(tw, tt, eta0, stab_gens)
@@ -767,16 +754,12 @@ def verify_stable_cover(shadow, groups=None, size_cap=2000):
             ok, _ = _max_ext_cached(kgrp, wgrp)
             rec(f"part{name}_max_ext", ok)
     if not shadow.h0_in_ker and groups.w.order != groups.w_hat.order:
-        nh = sorted({g for g in groups.k.elements
-                     if all((g * s * g.inv()) in groups.w_hat
-                            for s in groups.w_hat.gens)},
-                    key=lambda p: p.key())
-        rec("outer_normalizes_middle", len(nh) == groups.k.order)
+        big = groups.k.normalizer(groups.w_hat)
+        rec("outer_normalizes_middle", big.order == groups.k.order)
         if groups.k.order > size_cap:
             rec("middle_max_ext", True,
                 f"skipped, outer order {groups.k.order} over cap")
         else:
-            big = FiniteGroup(elements=nh)
             big.reduce_gens()
             ok, _ = _max_ext_cached(big, groups.w_hat)
             rec("middle_max_ext", ok)

@@ -79,11 +79,6 @@ def transposition(n, i, j, sign=1):
     return SignedPerm(tuple(imgs))
 
 
-def preserves_weights(p, weights):
-    """Whether |p| permutes points within equal-weight classes."""
-    return all(weights[abs(p.imgs[i]) - 1] == weights[i] for i in range(p.n))
-
-
 def in_d_subgroup(p, weights):
     """Even number of sign changes at odd-weight points (-1 counts as odd)."""
     odd_flips = sum(1 for i in p.sign_changes() if weights[i - 1] % 2 != 0)
@@ -133,9 +128,6 @@ class RelWeylResult:
     weights: tuple
     ambient: tuple      # weight-preserving signed perms on the orbit set
     d_part: tuple       # the index-2 weighted D-subgroup
-
-    def orbit_index(self, orbit):
-        return self.orbits.index(tuple(orbit)) + 1
 
 
 def act_on_root(p, alpha):
@@ -189,6 +181,26 @@ def orbit_label_map(dec, w):
     return SignedPerm(tuple(imgs))
 
 
+def levi_stabilizer(dec):
+    """The setwise stabilizer of the Levi subsystem in the full
+    hyperoctahedral group of the rank (elements in key order), and the
+    reflection subgroup its simple roots generate."""
+    from . import root_levi as rl
+    from .group_engine import FiniteGroup
+
+    l = dec.rank
+    phi = rl.levi_roots(l, dec.delta_prime)
+    stab = [w for w in full_group((1,) * l)
+            if all(act_on_root(w, a) in phi for a in phi)]
+    alphas = rl.simple_roots(l)
+    refl = [reflection_perm(alphas[i]) for i in sorted(dec.delta_prime)]
+    if refl:
+        levi_group = FiniteGroup(gens=refl)
+    else:
+        levi_group = FiniteGroup(elements=[SignedPerm.identity(l)])
+    return stab, levi_group
+
+
 def rel_weyl_oracle(dec):
     """Independent computation of the relative Weyl groups by brute force.
 
@@ -197,22 +209,10 @@ def rel_weyl_oracle(dec):
     and labels stabilizer elements by their orbit action.  Returns a dict of
     everything a comparison against `rel_weyl` needs.
     """
-    from . import root_levi as rl
     from .group_engine import FiniteGroup, quotient
 
     l = dec.rank
-    phi = rl.levi_roots(l, dec.delta_prime)
-    big = full_group((1,) * l)
-    if phi:
-        stab = [w for w in big if all(act_on_root(w, a) in phi for a in phi)]
-    else:
-        stab = list(big)
-    alphas = rl.simple_roots(l)
-    refl = [reflection_perm(alphas[i]) for i in sorted(dec.delta_prime)]
-    if refl:
-        levi_group = FiniteGroup(gens=refl)
-    else:
-        levi_group = FiniteGroup(elements=[SignedPerm.identity(l)])
+    stab, levi_group = levi_stabilizer(dec)
     stab_group = FiniteGroup(elements=stab)
     quot = quotient(stab_group, levi_group)
 

@@ -55,9 +55,6 @@ def cyc_add(x, y, M):
         out[e] = out.get(e, 0) + c
     return _cyc_norm(out, M)
 
-def cyc_neg(x):
-    return {e: -c for e, c in x.items()}
-
 def cyc_as_unit(x, M):
     """Exponent e with x = zeta^e, or None if x is not a single root of unity."""
     if len(x) != 1:
@@ -196,9 +193,6 @@ class MonomialElt:
     def key(self):
         return (self.perm, self.phase)
 
-    def is_diagonal(self):
-        return all(self.perm[i] == i for i in range(len(self.perm)))
-
     def to_json(self):
         return json.dumps({"perm": list(self.perm), "phase": list(self.phase),
                            "M": self.M}, sort_keys=True)
@@ -336,26 +330,12 @@ class SpinCtx:
         self._n_cache[key] = mono
         return mono
 
-    def h_elt(self, alpha, c):
-        """h_alpha(zeta^c) = n_alpha(zeta^c) n_alpha(1)^-1."""
-        return self.n_elt(alpha, c) * self.n_elt(alpha, 0).inv()
-
     def embed_torus(self, h):
         """Diagonal monomial action of a TorusElt."""
         assert len(h.a) == self.l and h.modulus == self.M
         phase = tuple(tm.spin_weight_exponent(h, weight_of_index(i, self.l))
                       for i in range(self.dim))
         return MonomialElt(self.M, tuple(range(self.dim)), phase)
-
-    def extract_torus(self, g):
-        """Recover the TorusElt of a diagonal monomial element."""
-        assert g.is_diagonal(), "not a torus element"
-        M = self.M
-        b = g.phase[0]
-        a = tuple((b - g.phase[1 << i]) % M for i in range(self.l))
-        h = tm.TorusElt(self.K, a, b)
-        assert self.embed_torus(h) == g, "phases are not of torus shape"
-        return h
 
     def w_image(self, g):
         """The signed permutation of coordinates underlying a monomial element."""
@@ -507,19 +487,6 @@ def c_elt(ctx, dec, orbit):
     j = dec.blocks[d].index(tuple(orbit)) + 1
     w = ctx.M // 4
     return kappa(ctx, dec, d, ctx.n_elt(basis_vector(ctx.l, j), w))
-
-
-def vds_gens(ctx, dec, d):
-    """Generators of the block-permutation part V_{d,S}: kappa_d of the
-    adjacent transposition monomials on {1..a_d}."""
-    a_d = dec.multiplicity(d)
-    l, M = ctx.l, ctx.M
-    gens = []
-    for i in range(1, a_d):
-        alpha = tuple(y - x for x, y in zip(basis_vector(l, i),
-                                           basis_vector(l, i + 1)))
-        gens.append(kappa(ctx, dec, d, ctx.n_elt(alpha, M // 2)))
-    return gens
 
 
 def levi_block_gens(ctx, dec):
@@ -740,21 +707,13 @@ def verify_relations(l, dec=None, K=4, seed=0, rank_level=True):
     vbar = levi_block_gens(ctx, dec)
     img_gens = [ctx.w_image(g) for g in vbar]
     img_grp = FiniteGroup(gens=img_gens)
-    phi = rl.levi_roots(l, dec.delta_prime)
-    big = sp.full_group((1,) * l)
-    if phi:
-        stab = {w_ for w_ in big if all(sp.act_on_root(w_, a) in phi for a in phi)}
-    else:
-        stab = set(big)
-    alphas = rl.simple_roots(l)
-    refl = [sp.reflection_perm(alphas[i]) for i in sorted(dec.delta_prime)]
-    levi_w = FiniteGroup(gens=refl) if refl else \
-        FiniteGroup(elements=[sp.SignedPerm.identity(l)])
+    stab, levi_w = sp.levi_stabilizer(dec)
     prod = {u * v for u in levi_w for v in img_grp}
-    rec("stabilizer_factorization", prod == stab,
+    rec("stabilizer_factorization", prod == set(stab),
         "Stab(levi system) = (reflection subgroup) * (image of V-bar)")
 
     # the halves parts are central in the Levi: they commute with x_alpha(t)
+    phi = rl.levi_roots(l, dec.delta_prime)
     central_ok = True
     hparts = [h0]
     for d in sorted(dec.blocks):

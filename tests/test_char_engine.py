@@ -1,5 +1,6 @@
 """Character tables, extension solvers, wreath and product-glue builders."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -7,10 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import char_engine
-from weylkit.group_engine import (FiniteGroup, quaternion_group, Perm,
-                                  quotient)
+from weylkit.group_engine import FiniteGroup, quaternion_group, Perm
 from weylkit.spin_monomial import SpinCtx
-from weylkit.signed_perm import SignedPerm, flip, transposition
+from weylkit.signed_perm import SignedPerm, flip, transposition, full_group
 from weylkit.char_engine import (CharTable, common_tables, extends_to,
                                  maximal_extendibility, linear_characters,
                                  char_order, linear_ext_cocycle,
@@ -188,6 +188,37 @@ def test_cocycle_solver_quaternion_obstruction():
     assert linear_ext_cocycle(triv, center, q8).ok
 
 
+@dataclass(frozen=True)
+class _Heis:
+    """Upper unitriangular 3x3 matrix over Z/4 with entries a, b and
+    corner c; its center and derived subgroup are both {(0, 0, c)}."""
+    a: int
+    b: int
+    c: int
+
+    def __mul__(self, o):
+        return _Heis((self.a + o.a) % 4, (self.b + o.b) % 4,
+                     (self.c + o.c + self.a * o.b) % 4)
+
+    def inv(self):
+        return _Heis(-self.a % 4, -self.b % 4, (self.a * self.b - self.c) % 4)
+
+    def key(self):
+        return (self.a, self.b, self.c)
+
+
+def test_obstruction_certificate_is_least_central_value():
+    # H = K' = Z(K) is cyclic of order 4, so m * lam takes every value mod m
+    # on H meet K' and the certificate names the least nonzero one
+    heis = FiniteGroup(gens=[_Heis(1, 0, 0), _Heis(0, 1, 0)])
+    center = FiniteGroup(gens=[_Heis(0, 0, 1)])
+    for t, m in ((1, 4), (2, 2), (3, 4)):
+        lam = {h: Fraction(t * h.c, 4) % 1 for h in center}
+        res = linear_ext_cocycle(lam, center, heis)
+        assert not res.ok
+        assert res.certificate == ("central-derived intersection", 1, m)
+
+
 def test_cocycle_integrality_check_raises():
     # 1/2000001 is past char_order's limit_denominator, so m is too small
     q8, z = quaternion_group()
@@ -207,43 +238,72 @@ def test_cocycle_witness_multiplicativity_check_raises():
         linear_ext_cocycle(lam, c4, c4)
 
 
-def test_cocycle_table_and_stabilizers_match_pairwise_formulas(monkeypatch):
+def test_stabilizers_match_pairwise_formula(monkeypatch):
     """On verify_halves_extension(2)'s groups: each stabilizer is the set of
-    g in V-bar fixing the character on H's generators, and each cocycle
-    entry is lam(t1 t2 t12^-1) * m for the normalized transversal."""
-    calls, tables = [], []
+    g in V-bar fixing the character on H's generators."""
+    calls = []
     real = char_engine.linear_ext_cocycle
-
-    class Recording(char_engine._ExtCtx):
-        def __init__(self, m, cocycle, rep_of):
-            tables.append(cocycle)
-            super().__init__(m, cocycle, rep_of)
 
     def recording(lam, normal, big, **kw):
         calls.append((lam, normal, big))
         return real(lam, normal, big, **kw)
 
-    monkeypatch.setattr(char_engine, "_ExtCtx", Recording)
     monkeypatch.setattr(char_engine, "linear_ext_cocycle", recording)
     assert all(ok for _, ok, _ in verify_halves_extension(2))
-    assert len(calls) == len(tables) == 4
+    assert len(calls) == 4
 
     vbar = FiniteGroup(gens=SpinCtx(2).vbar_gens(range(1, 3)))
-    for (lam, normal, big), table in zip(calls, tables):
+    for lam, normal, big in calls:
         assert big.elements == [
             g for g in vbar
             if all(lam[g * h * g.inv()] == lam[h] for h in normal.gens)]
-        m = char_order(lam)
-        q = quotient(big, normal)
-        id_rep = q.elements[0].ctx.rep_of[big.identity]
-        reps = {c: (big.identity if c.rep == id_rep else c.rep)
-                for c in q.elements}
-        want = {}
-        for c1 in q.elements:
-            for c2 in q.elements:
-                defect = reps[c1] * reps[c2] * reps[c1 * c2].inv()
-                want[(c1.key(), c2.key())] = int(lam[defect] * m) % m
-        assert table == want
+
+
+def _normal_subgroups(g):
+    """Every normal subgroup of g, as the unions of classes closed under
+    multiplication."""
+    classes = g.conj_classes()
+    out = []
+    for mask in range(1 << (len(classes) - 1)):
+        elems = set(classes[0])
+        for i, c in enumerate(classes[1:]):
+            if mask >> i & 1:
+                elems.update(c)
+        if all(a * b in elems for a in elems for b in elems):
+            out.append(FiniteGroup(elements=elems))
+    return out
+
+
+def test_linear_extension_matches_brute_force():
+    """ok iff some linear character of K restricts to lam, for every linear
+    character lam of every normal subgroup N of D8, Q8, B3 and the signed
+    group of weights (1, 1, 2), with K = G and K = the stabilizer of lam."""
+    outcomes = []
+    for g in (d8_group(), quaternion_group()[0],
+              FiniteGroup(elements=full_group((1, 1, 1))),
+              FiniteGroup(elements=full_group((1, 1, 2)))):
+        g.reduce_gens()
+        for normal in _normal_subgroups(g):
+            for lam in linear_characters(normal):
+                stab = FiniteGroup(elements=[
+                    x for x in g
+                    if all(lam[x * h * x.inv()] == lam[h] for h in normal)])
+                stab.reduce_gens()
+                for big in (g, stab):
+                    want = any(all(chi[h] == lam[h] for h in normal)
+                               for chi in linear_characters(big))
+                    res = linear_ext_cocycle(lam, normal, big)
+                    assert res.ok == want
+                    if res.ok:
+                        assert all(res.witness[h] == lam[h] for h in normal)
+                    elif big is stab:
+                        kind, z, m = res.certificate
+                        assert kind == "central-derived intersection"
+                        assert 0 < z < m == char_order(lam)
+                    outcomes.append((big is stab, res.ok))
+    assert len(outcomes) == 306
+    # a stable character that does not extend occurs, and each other outcome
+    assert len(set(outcomes)) == 4
 
 
 def test_halves_extension_rank2():
