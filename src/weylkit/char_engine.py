@@ -22,7 +22,8 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from .group_engine import FiniteGroup, quotient, closure
+from .group_engine import (FiniteGroup, Perm, closure, orbit, product_set,
+                           quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +585,7 @@ def char_order(lam):
     from math import lcm
     d = 1
     for v in lam.values():
-        d = lcm(d, Fraction(v).limit_denominator().denominator)
+        d = lcm(d, Fraction(v).denominator)
     return d
 
 
@@ -620,15 +621,9 @@ def linear_ext_cocycle(lam, normal, big, verify_samples=200, seed=0):
             if lam[g * h * gi] != lam[h]:
                 return ExtensionResult(False, {}, ("not invariant", g, h),
                                        "character is not stable, no extension")
-    lam_m = {}
-    for h in normal.elements:
-        val = lam[h] * m
-        if val.denominator != 1:
-            raise ArithmeticError(f"character value {lam[h]} times its "
-                                  f"order {m} is not an integer")
-        lam_m[h] = int(val) % m
     der = big.derived_subgroup()
-    bad = sorted({lam_m[h] for h in normal.elements if h in der} - {0})
+    bad = sorted({int(lam[h] * m) % m for h in normal.elements if h in der}
+                 - {0})
     if bad:
         cert = ("central-derived intersection", bad[0], m)
         return ExtensionResult(False, {}, cert,
@@ -676,11 +671,6 @@ def linear_ext_cocycle(lam, normal, big, verify_samples=200, seed=0):
 
 def _char_key(lam, elems):
     return tuple(lam[h] for h in elems)
-
-
-def _conj_lin(lam, g, elems):
-    gi = g.inv()
-    return {h: lam[g * h * gi] for h in elems}
 
 
 def verify_halves_extension(lp, seed=0):
@@ -754,25 +744,16 @@ def verify_halves_extension(lp, seed=0):
     lam_t = constant[0]
     lam_p = {h: lam_t[h] for h in helems}
 
-    neg = [lam for lam in chars if lam[h0] == Fraction(1, 2)]
-    orbit_ok = True
-    for lam in neg:
-        orbit = set()
-        frontier = [_char_key(lam, helems)]
-        seen_chars = {frontier[0]: lam}
-        while frontier:
-            nxt = []
-            for key in frontier:
-                cur = seen_chars[key]
-                for g in V.gens:
-                    cc = _conj_lin(cur, g, helems)
-                    k = _char_key(cc, helems)
-                    if k not in seen_chars:
-                        seen_chars[k] = cc
-                        nxt.append(k)
-            frontier = nxt
-        if _char_key(lam_p, helems) not in seen_chars:
-            orbit_ok = False
+    # the V-orbit of lam_p, on value tuples: conjugating by g permutes the
+    # positions of helems
+    conj_pos = []
+    for g in V.gens:
+        gi = g.inv()
+        conj_pos.append([pos[g * h * gi] for h in helems])
+    reach = set(orbit(_char_key(lam_p, helems), conj_pos,
+                      lambda key, cp: tuple(key[i] for i in cp)))
+    orbit_ok = all(_char_key(lam, helems) in reach
+                   for lam in chars if lam[h0] == Fraction(1, 2))
     rec("conjugate_to_normal_form", orbit_ok,
         "every character nontrivial on h_0 is conjugate to the constant one")
 
@@ -1009,7 +990,6 @@ def _mat_inverse(mat, invs):
 
 def _semi_perms(ctx):
     """Faithful permutation model of X x| Y on the points of X."""
-    from .group_engine import Perm
     idx = {x: i for i, x in enumerate(ctx.xs)}
     fwd, back = {}, {}
     for g in ctx.s_elements():
@@ -1030,24 +1010,13 @@ def _base_actions(ctx):
     gens = []
     for s0 in s_elems:
         s0i = ctx.s_inv(s0)
-        gens.append(tuple(s_pos[ctx.s_mul(ctx.s_mul(s0, g), s0i)]
-                          for g in s_elems))
+        gens.append(Perm(tuple(s_pos[ctx.s_mul(ctx.s_mul(s0, g), s0i)]
+                               for g in s_elems)))
     for al in ctx.a_mats:
-        gens.append(tuple(s_pos[ctx.s_alpha(g, al)] for g in s_elems))
-    seen = {tuple(range(len(s_elems)))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for g in gens:
-                u = tuple(g[i] for i in t)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
+        gens.append(Perm(tuple(s_pos[ctx.s_alpha(g, al)] for g in s_elems)))
     actions = []
-    for t in sorted(seen):
-        smap = {s_elems[i]: s_elems[t[i]] for i in range(len(s_elems))}
+    for t in closure(gens):
+        smap = {s_elems[i]: s_elems[t.imgs[i]] for i in range(len(s_elems))}
         inv = {v: k for k, v in smap.items()}
         actions.append((smap, inv))
     return actions
@@ -1079,7 +1048,6 @@ def wreath_ext_map(invariants, y_mats, a, a_mats=(), char_set=None,
     (error if none exists).  Every claimed property is verified by brute
     force before returning."""
     from itertools import product
-    from .group_engine import FiniteGroup
     ctx = WreathCtx(invariants, y_mats, a, a_mats=a_mats)
     all_chars = [tuple(c) for c in product(*[range(m) for m in ctx.invs])]
     chars = sorted(set(char_set)) if char_set is not None else all_chars
@@ -1135,11 +1103,14 @@ def wreath_ext_map(invariants, y_mats, a, a_mats=(), char_set=None,
     # verify the base map: extension property and full equivariance
     for c in chars:
         vals = base_map[c]
-        for x in ctx.xs:
-            assert vals[(x, ctx.y_id)] == _char_val(c, x, ctx.invs)
+        if any(vals[(x, ctx.y_id)] != _char_val(c, x, ctx.invs)
+               for x in ctx.xs):
+            raise ValueError(f"input map does not extend character {c}")
         for (g1, v1) in vals.items():
             for (g2, v2) in vals.items():
-                assert vals[ctx.s_mul(g1, g2)] == (v1 + v2) % 1
+                if vals[ctx.s_mul(g1, g2)] != (v1 + v2) % 1:
+                    raise ValueError("input map is not multiplicative at "
+                                     f"character {c}")
     for i, (smap, sinv) in enumerate(actions):
         for c in chars:
             img = act_on_char[i][c]
@@ -1176,19 +1147,23 @@ def wreath_ext_map(invariants, y_mats, a, a_mats=(), char_set=None,
             vals[w] = total
         for w1, v1 in vals.items():
             for w2, v2 in vals.items():
-                assert vals[ctx.w_mul(w1, w2)] == (v1 + v2) % 1, \
-                    "wreath extension is not multiplicative"
+                if vals[ctx.w_mul(w1, w2)] != (v1 + v2) % 1:
+                    raise ArithmeticError("wreath extension is not "
+                                          "multiplicative")
         for z in product(ctx.xs, repeat=a):
             expect = sum((_char_val(lam_tuple[i], z[i], ctx.invs)
                           for i in range(a)), Fraction(0)) % 1
-            assert vals[ctx.w_embed_x(z)] == expect
+            if vals[ctx.w_embed_x(z)] != expect:
+                raise ArithmeticError("wreath extension does not restrict "
+                                      "to the base character")
         for j in range(a):
             for g in base_map[lam_tuple[j]]:
                 parts = tuple(g if jj == j else ctx.s_identity()
                               for jj in range(a))
                 w = (parts, tuple(range(a)))
-                if w in vals:
-                    assert vals[w] == base_map[lam_tuple[j]][g]
+                if w in vals and vals[w] != base_map[lam_tuple[j]][g]:
+                    raise ArithmeticError("wreath extension does not agree "
+                                          "with the base map")
         big[lam_tuple] = vals
 
     # equivariance of the big map under the wreath product and diagonal A
@@ -1207,23 +1182,21 @@ def wreath_ext_map(invariants, y_mats, a, a_mats=(), char_set=None,
             w0i = ctx.w_inv(w0)
             for u, v in big[img].items():
                 pre = ctx.w_mul(ctx.w_mul(w0i, u), w0)
-                assert big[lam_tuple][pre] == v, "map not equivariant"
+                if big[lam_tuple][pre] != v:
+                    raise ArithmeticError("map not equivariant")
         for al in ctx.a_mats:
             ali = _mat_inverse(al, ctx.invs)
             img = tuple(ctx.char_alpha(c, al) for c in lam_tuple)
             for u, v in big[img].items():
                 pre = ctx.w_alpha(u, ali)
-                assert big[lam_tuple][pre] == v, "map not Delta-A-equivariant"
+                if big[lam_tuple][pre] != v:
+                    raise ArithmeticError("map not Delta-A-equivariant")
     return {"ctx": ctx, "base_map": base_map, "map": big,
             "equivariant": True}
 
 
 # ---------------------------------------------------------------------------
 # central-product assembly of extension maps
-
-def _set_product(a_elems, b_elems):
-    return {x * y for x in a_elems for y in b_elems}
-
 
 def _lin_conj(vals, g):
     """(g . lambda)(x) = lambda(g^-1 x g) on a linear character dict."""
@@ -1244,8 +1217,6 @@ def cor_tool_build(m_grp, k_grp, k0_grp, v_grp, char_set=None, lam0=None,
     extensions; equivariance of the result is enforced by an invariant
     choice at orbit representatives and verified at the end.  Only linear
     characters are supported; failures raise with the failing condition."""
-    from .group_engine import FiniteGroup, closure
-
     def fail(msg):
         raise ValueError("cor_tool hypotheses fail: " + msg)
 
@@ -1261,9 +1232,9 @@ def cor_tool_build(m_grp, k_grp, k0_grp, v_grp, char_set=None, lam0=None,
     cent = set(k_grp.center().elements)
     if not set(h_elems) <= cent:
         fail("H = K cap V is not central in K")
-    if _set_product(k0_grp.elements, h_elems) != set(k_grp.elements):
+    if product_set(k0_grp.elements, h_elems) != set(k_grp.elements):
         fail("K is not K0 (K cap V)")
-    if _set_product(k_grp.elements, v_grp.elements) != set(m_grp.elements):
+    if product_set(k_grp.elements, v_grp.elements) != set(m_grp.elements):
         fail("M is not KV")
     for d in d_gens:
         di = d.inv()
@@ -1410,14 +1381,12 @@ def transversal_check(z_grp, yhat_grp, xtilde_grp, m_set=None):
 
     Setup: xtilde normal in z, z = yhat * xtilde, X := xtilde cap yhat
     normal in z, and a z-stable character set of X (default all of Irr(X)).
-    Returns the three flags and asserts their equivalence."""
-    from .group_engine import FiniteGroup
-
+    Returns the three flags and raises if they disagree."""
     if not xtilde_grp.is_subgroup_of(z_grp) or not z_grp.is_normal(xtilde_grp):
         raise ValueError("xtilde must be normal in z")
     if not yhat_grp.is_subgroup_of(z_grp):
         raise ValueError("yhat must be contained in z")
-    if _set_product(yhat_grp.elements, xtilde_grp.elements) \
+    if product_set(yhat_grp.elements, xtilde_grp.elements) \
             != set(z_grp.elements):
         raise ValueError("z must equal yhat * xtilde")
     x_elems = sorted(set(xtilde_grp.elements) & set(yhat_grp.elements),
@@ -1432,28 +1401,15 @@ def transversal_check(z_grp, yhat_grp, xtilde_grp, m_set=None):
             if tx.conj_char(chi, g) not in chars:
                 raise ValueError("character set is not z-stable")
 
-    def orbits(chars_list, grp):
-        rem = list(chars_list)
+    def orbits(grp):
         out = []
-        while rem:
-            seed = rem[0]
-            orb = {seed}
-            frontier = [seed]
-            while frontier:
-                nxt = []
-                for c in frontier:
-                    for g in grp.gens:
-                        d = tx.conj_char(c, g)
-                        if d not in orb:
-                            orb.add(d)
-                            nxt.append(d)
-                frontier = nxt
-            out.append(orb)
-            rem = [c for c in rem if c not in orb]
+        for c in chars:
+            if not any(c in orb for orb in out):
+                out.append(set(orbit(c, grp.gens, tx.conj_char)))
         return out
 
-    xt_orbits = orbits(chars, xtilde_grp)
-    y_orbits = orbits(chars, yhat_grp)
+    xt_orbits = orbits(xtilde_grp)
+    y_orbits = orbits(yhat_grp)
 
     # (i): a union of yhat-orbits meeting each xtilde-orbit exactly once
     def cover(idx, counts):
@@ -1485,7 +1441,7 @@ def transversal_check(z_grp, yhat_grp, xtilde_grp, m_set=None):
             zs = set(stab(chi, z_grp.elements))
             xs = stab(chi, xtilde_grp.elements)
             ys = stab(chi, yhat_grp.elements)
-            if _set_product(xs, ys) == zs:
+            if product_set(xs, ys) == zs:
                 found = True
                 break
         cond_ii = cond_ii and found
@@ -1500,11 +1456,12 @@ def transversal_check(z_grp, yhat_grp, xtilde_grp, m_set=None):
             xi = x.inv()
             moved = [x * g * xi for g in yhat_grp.elements]
             ys = stab(chi, moved)
-            if _set_product(ys, xs) == zs:
+            if product_set(ys, xs) == zs:
                 ok = True
                 break
         cond_iii = cond_iii and ok
 
-    assert cond_i == cond_ii == cond_iii, "condition triple must agree"
+    if not cond_i == cond_ii == cond_iii:
+        raise ArithmeticError("condition triple must agree")
     return {"stable_transversal": cond_i, "factorizing_conjugate": cond_ii,
             "in_place_factorization": cond_iii}

@@ -11,7 +11,6 @@ Exit codes: 0 all pass, 1 at least one failure, 2 usage error.
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -43,19 +42,6 @@ def _parse_delta(text, rank):
             raise UsageError(f"simple-root index {idx} out of range 1..{rank}")
         out.append(idx)
     return out
-
-
-def _jobs_value(args):
-    raw = args.jobs if args.jobs is not None else os.environ.get("WEYLKIT_JOBS")
-    if raw is None:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise UsageError(f"bad jobs value {raw!r}")
-    if jobs < 1:
-        raise UsageError("jobs must be a positive integer")
-    return jobs
 
 
 def cmd_decompose(args):
@@ -179,7 +165,6 @@ _SUITE_FUNCS = {
 
 def cmd_verify(args):
     try:
-        jobs = _jobs_value(args)
         if args.suite in ("relations", "relweyl", "all") and args.rank < 2:
             raise UsageError(f"suite {args.suite} needs rank >= 2, "
                              f"got {args.rank}")
@@ -207,8 +192,8 @@ def cmd_verify(args):
                "fail": sum(r["status"] == "fail" for r in records),
                "skipped": sum(r["status"] == "skipped" for r in records)}
     report = {"schema": SCHEMA, "version": VERSION, "suite": args.suite,
-              "rank": args.rank, "seed": args.seed, "jobs": jobs,
-              "records": records, "summary": summary}
+              "rank": args.rank, "seed": args.seed, "records": records,
+              "summary": summary}
     if args.json:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
@@ -242,9 +227,6 @@ def build_parser():
     vp.add_argument("--max-orbits", type=int, default=2, dest="max_orbits")
     vp.add_argument("--random-count", type=int, default=25, dest="random_count")
     vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--jobs", type=str, default=None,
-                    help="parallelism hint (default from WEYLKIT_JOBS); "
-                         "execution is serial for deterministic reports")
     vp.add_argument("--json", action="store_true")
     vp.add_argument("--text", dest="json", action="store_false")
     vp.add_argument("--timings", action="store_true",

@@ -1,8 +1,11 @@
 """Generic finite-group engine over hashable element objects.
 
 Element objects must support `a * b`, `a.inv()`, equality/hashing, and a
-`key()` method giving a deterministic total order.  Everything here is plain
-breadth-first closure and filtering; caps guard against runaway inputs.
+`key()` method giving a deterministic total order.  Subgroups are closed by
+Dimino's coset extension (`closure`, `small_generating_set`, the derived
+subgroup as a normal closure) and orbits are walked breadth-first by `orbit`
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+ch. 3-4); caps guard against runaway inputs.
 """
 
 from dataclasses import dataclass
@@ -16,25 +19,31 @@ class ClosureCapExceeded(RuntimeError):
 
 
 def closure(gens, cap=CLOSURE_CAP):
-    """All products of the generators, breadth-first, deterministic order."""
+    """All products of the generators, sorted by key: the subgroup is built
+    one generator at a time by coset extension."""
     gens = sorted(set(gens), key=lambda g: g.key())
     if not gens:
         raise ValueError("need at least one generator")
-    ident = gens[0] * gens[0].inv()
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise ClosureCapExceeded(f"closure exceeded {cap}")
-        frontier = nxt
-    return sorted(seen, key=lambda g: g.key())
+    cur = {gens[0] * gens[0].inv()}
+    used = []
+    for g in gens:
+        if g not in cur:
+            used.append(g)
+            cur = _coset_extension(cur, used, g, cap)
+    return sorted(cur, key=lambda g: g.key())
+
+
+def orbit(x, gens, act):
+    """The orbit of x under act(y, g) for g in gens, breadth-first from x."""
+    out = [x]
+    seen = {x}
+    for y in out:
+        for g in gens:
+            z = act(y, g)
+            if z not in seen:
+                seen.add(z)
+                out.append(z)
+    return out
 
 
 class FiniteGroup:
@@ -76,24 +85,15 @@ class FiniteGroup:
         if self._classes is not None:
             return self._classes
         self.reduce_gens()
+        pairs = [(h, h.inv()) for h in self.gens]
         remaining = set(self.elements)
         classes = []
         for g in self.elements:
             if g not in remaining:
                 continue
-            orbit = {g}
-            frontier = [g]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for h in self.gens:
-                        y = h * x * h.inv()
-                        if y not in orbit:
-                            orbit.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            remaining -= orbit
-            classes.append(sorted(orbit, key=lambda e: e.key()))
+            cls = orbit(g, pairs, lambda x, p: p[0] * x * p[1])
+            remaining.difference_update(cls)
+            classes.append(sorted(cls, key=lambda e: e.key()))
         classes.sort(key=lambda c: (c[0] != self.identity, len(c),
                                     c[0].key()))
         self._classes = classes
@@ -133,37 +133,18 @@ class FiniteGroup:
         return True
 
     def derived_subgroup(self):
+        """Commutator subgroup: the normal closure of the generator
+        commutators, each new conjugate added by coset extension."""
         self.reduce_gens()
-        return self._derived()
-
-    def _derived(self):
-        """Commutator subgroup: normal closure of generator commutators."""
-        # a dict, not a set: the frontier loop walks it in insertion order, so
-        # the products made do not depend on the interpreter's hash seed
-        comms = {}
-        for a in self.gens:
-            for b in self.gens:
-                comms[a * b * a.inv() * b.inv()] = None
-        comms[self.identity] = None
-        # close under multiplication and conjugation by group generators
-        elems = set(comms)
-        frontier = list(comms)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in list(comms):
-                    y = x * g
-                    if y not in elems:
-                        elems.add(y)
-                        nxt.append(y)
-                for g in self.gens:
-                    y = g * x * g.inv()
-                    if y not in elems:
-                        elems.add(y)
-                        nxt.append(y)
-                        comms[y] = None
-            frontier = nxt
-        return FiniteGroup(elements=list(elems))
+        sub = {self.identity}
+        used = []
+        todo = [a * b * a.inv() * b.inv() for a in self.gens for b in self.gens]
+        for c in todo:
+            if c not in sub:
+                used.append(c)
+                sub = _coset_extension(sub, used, c)
+                todo.extend(g * c * g.inv() for g in self.gens)
+        return FiniteGroup(gens=used, elements=sub)
 
     def element_order(self, g):
         n, x = 1, g
@@ -202,21 +183,28 @@ def small_generating_set(elements, seed_gens=()):
     return gens
 
 
-def _coset_extension(sub, gens, g):
+def _coset_extension(sub, gens, g, cap=CLOSURE_CAP):
     """The element set of <gens> from the elements sub of the subgroup that
     gens without g generate (Dimino): add right cosets sub*r, starting from
     r = g, until their union is closed under the generators.  Costs about
-    |<gens>| products, against |<gens>| * len(gens) for closure(gens)."""
+    |<gens>| products, against |<gens>| * len(gens) for a breadth-first
+    closure."""
     base = list(sub)
     out = set(sub)
-    out.update(h * g for h in base)
-    reps = [g]
+    reps = []
+
+    def add_coset(r):
+        reps.append(r)
+        out.update(h * r for h in base)
+        if len(out) > cap:
+            raise ClosureCapExceeded(f"closure exceeded {cap}")
+
+    add_coset(g)
     for r in reps:
         for s in gens:
             y = r * s
             if y not in out:
-                reps.append(y)
-                out.update(h * y for h in base)
+                add_coset(y)
     return out
 
 

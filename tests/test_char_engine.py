@@ -1,5 +1,8 @@
 """Character tables, extension solvers, wreath and product-glue builders."""
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -219,12 +222,15 @@ def test_obstruction_certificate_is_least_central_value():
         assert res.certificate == ("central-derived intersection", 1, m)
 
 
-def test_cocycle_integrality_check_raises():
-    # 1/2000001 is past char_order's limit_denominator, so m is too small
+def test_char_order_is_exact():
+    # the denominator 2000001 is past Fraction.limit_denominator's default
+    # bound of 10**6; the value is no character of C2, and the witness check
+    # says so
     q8, z = quaternion_group()
     center = FiniteGroup(gens=[z])
     lam = {center.identity: Fraction(0), z: Fraction(1, 2000001)}
-    with pytest.raises(ArithmeticError, match="not an integer"):
+    assert char_order(lam) == 2000001
+    with pytest.raises(ArithmeticError, match="not multiplicative"):
         linear_ext_cocycle(lam, center, center)
 
 
@@ -322,6 +328,34 @@ def test_wreath_ext_map_with_outer_action():
     # base C3 with the inversion twist, two copies, diagonal inversion on top
     out = wreath_ext_map((3,), [((1,),), ((2,),)], 2, a_mats=[((2,),)])
     assert out["equivariant"]
+
+
+_BAD_BASE_MAP = """
+from fractions import Fraction
+from weylkit.char_engine import wreath_ext_map
+# S = C3 x| C2 (inversion twist) is S3; its base map on the trivial character
+# of C3 gets the value 1/3 on the involution ((0,), 1), so it is no character
+base = wreath_ext_map((3,), [((2,),)], 2)["base_map"]
+bad = {c: dict(vals) for c, vals in base.items()}
+bad[(0,)][((0,), 1)] = Fraction(1, 3)
+try:
+    wreath_ext_map((3,), [((2,),)], 2, base_map=bad)
+except ValueError as e:
+    print("ValueError:", e)
+"""
+
+
+def test_wreath_ext_map_rejects_non_multiplicative_base_map():
+    # the input-map checks raise, so python -O (which strips asserts) keeps
+    # them
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(
+        os.path.join(os.path.dirname(__file__), os.pardir, "src")))
+    for flags in ((), ("-O",)):
+        r = subprocess.run([sys.executable, *flags, "-c", _BAD_BASE_MAP],
+                           capture_output=True, text=True, env=env,
+                           check=True)
+        assert r.stdout.startswith("ValueError: input map is not "
+                                   "multiplicative")
 
 
 def test_cor_tool_build_toy():

@@ -89,15 +89,11 @@ def test_verify_out_file(tmp_path):
     assert rep["suite"] == "relweyl"
 
 
-def test_jobs_env_and_flag():
-    r = run_cli("verify", "--suite", "relweyl", "--rank", "2",
-                env_extra={"WEYLKIT_JOBS": "3"})
-    assert json.loads(r.stdout)["jobs"] == 3
+def test_jobs_option_is_a_usage_error():
     r = run_cli("verify", "--suite", "relweyl", "--rank", "2", "--jobs", "2")
-    assert json.loads(r.stdout)["jobs"] == 2
-    r = run_cli("verify", "--suite", "relweyl", "--rank", "2",
-                env_extra={"WEYLKIT_JOBS": "bogus"})
     assert r.returncode == 2
+    assert "unrecognized arguments: --jobs 2" in r.stderr
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("suite", ["relweyl", "relations", "all"])

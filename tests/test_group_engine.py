@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylkit import char_engine
 from weylkit.group_engine import (FiniteGroup, closure, quotient,
                                   small_generating_set, product_set,
                                   quaternion_group, Perm,
@@ -89,6 +90,73 @@ def test_coset_extension_is_closure(gens):
     assert _coset_extension(sub, gens, g) == set(closure(gens))
 
 
+B112 = sorted(full_group((1, 1, 2)), key=lambda g: g.key())
+
+
+def _closure_reference(gens):
+    """Breadth-first closure: every element times every generator."""
+    ident = gens[0] * gens[0].inv()
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(seen, key=lambda g: g.key())
+
+
+@given(st.sampled_from([B3, B112]).flatmap(
+    lambda elems: st.lists(st.sampled_from(elems), min_size=1, max_size=5)))
+@settings(max_examples=80, deadline=None)
+def test_closure_matches_breadth_first_reference(gens):
+    assert closure(gens) == _closure_reference(gens)
+
+
+def _derived_reference(group):
+    """The closure of every commutator [x, y] = x y x^-1 y^-1."""
+    inv = {x: x.inv() for x in group}
+    return _closure_reference(sorted({x * y * inv[x] * inv[y]
+                                      for x in group for y in group},
+                                     key=lambda g: g.key()))
+
+
+def test_derived_subgroup_is_closure_of_all_commutators(monkeypatch):
+    # in S4 = <(0 1), (0 1 2 3)> the generator commutator spans a cyclic
+    # group; S4' = A4 needs its conjugates
+    s4 = FiniteGroup(gens=[Perm((1, 0, 2, 3)), Perm((1, 2, 3, 0))])
+    groups = [b2_group(), quaternion_group()[0], FiniteGroup(elements=B3),
+              FiniteGroup(elements=B112), s4]
+    # the stabilizers that verify_halves_extension(3) extends characters to
+    stabs = []
+    real = char_engine.linear_ext_cocycle
+
+    def recording(lam, normal, big, **kw):
+        stabs.append(big)
+        return real(lam, normal, big, **kw)
+
+    monkeypatch.setattr(char_engine, "linear_ext_cocycle", recording)
+    char_engine.verify_halves_extension(3)
+    assert len(stabs) == 8
+    for group in groups + stabs:
+        assert group.derived_subgroup().elements == _derived_reference(group)
+
+
+@pytest.mark.parametrize("elements", [B3, B112], ids=["B3", "B112"])
+def test_conj_classes_match_brute_force(elements):
+    group = FiniteGroup(elements=elements)
+    classes = {frozenset(x * g * x.inv() for x in elements)
+               for g in elements}
+    expect = sorted((sorted(c, key=lambda e: e.key()) for c in classes),
+                    key=lambda c: (c[0] != group.identity, len(c),
+                                   c[0].key()))
+    assert group.conj_classes() == expect
+
+
 def _small_generating_set_reference(elements, seed_gens=()):
     """The greedy choice with every subgroup rebuilt by closure."""
     elements = sorted(set(elements), key=lambda g: g.key())
@@ -146,25 +214,33 @@ def test_quaternion_group_structure():
 
 
 _COUNT_PRODUCTS = """
-from weylkit import spin_monomial
+from weylkit import signed_perm, spin_monomial
 from weylkit.char_engine import verify_halves_extension
-count = 0
-orig = spin_monomial.MonomialElt.__mul__
+from weylkit.shadow import sweep_stable_cover
+counts = []
+for cls, run in ((spin_monomial.MonomialElt,
+                  lambda: verify_halves_extension(3, seed=0)),
+                 (signed_perm.SignedPerm,
+                  lambda: sweep_stable_cover(max_orbits=2))):
+    count = 0
+    orig = cls.__mul__
 
-def mul(a, b):
-    global count
-    count += 1
-    return orig(a, b)
+    def mul(a, b):
+        global count
+        count += 1
+        return orig(a, b)
 
-spin_monomial.MonomialElt.__mul__ = mul
-verify_halves_extension(3, seed=0)
-print(count)
+    cls.__mul__ = mul
+    run()
+    cls.__mul__ = orig
+    counts.append(count)
+print(*counts)
 """
 
 
 def test_product_count_does_not_depend_on_hash_seed():
-    # FiniteGroup._derived walks its commutators in insertion order; in hash
-    # order the number of products made changed with PYTHONHASHSEED
+    # closure, coset extension and the derived subgroup walk sets and dicts;
+    # the number of products they make must not follow the hash order
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     counts = []
     for seed in ("1", "2"):
@@ -172,5 +248,6 @@ def test_product_count_does_not_depend_on_hash_seed():
                    PYTHONPATH=os.path.abspath(src))
         r = subprocess.run([sys.executable, "-c", _COUNT_PRODUCTS],
                            capture_output=True, text=True, env=env, check=True)
-        counts.append(int(r.stdout))
-    assert counts[0] == counts[1] > 0
+        counts.append([int(c) for c in r.stdout.split()])
+    assert counts[0] == counts[1]
+    assert min(counts[0]) > 0
