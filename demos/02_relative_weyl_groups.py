@@ -1,10 +1,10 @@
-"""The relative Weyl group on the orbit set, formula versus brute force.
+"""The relative Weyl group on the orbit set, formula versus search.
 
 The closed formula says the quotient of the setwise stabilizer by the
 reflection subgroup is the full weight-preserving signed permutation group
 of the orbit set (and its D-part at the finer level).  The oracle computes
-the same thing by enumerating the hyperoctahedral group and labelling
-stabilizer elements by their orbit action.
+the same thing by finding the stabilizer in the hyperoctahedral group with
+a backtrack search and labelling its elements by their orbit action.
 """
 
 from weylkit.root_levi import decompose, all_levi_subsets

@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from .group_engine import (FiniteGroup, Perm, closure, orbit, product_set,
-                           quotient)
+from .group_engine import (ClosureCapExceeded, FiniteGroup, Perm, closure,
+                           orbit, product_set, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -849,18 +849,18 @@ class WreathCtx:
         self.a = a
         self.xs = _x_elements(self.invs)
         ident = _mat_norm(_identity_invs(self.invs), self.invs)
-        mats = {ident} | {_mat_norm(m, self.invs) for m in y_mats}
-        for m in mats:
+        gens = sorted({_mat_norm(m, self.invs) for m in y_mats})
+        for m in gens:
             if len({_mat_act(m, x, self.invs) for x in self.xs}) != len(self.xs):
                 raise ValueError("twist matrix is not an automorphism")
-        while True:
-            new = {_mat_compose(m, m2, self.invs)
-                   for m in mats for m2 in mats} - mats
-            if not new:
-                break
-            mats |= new
-            if len(mats) > 10 ** 4:
-                raise ValueError("twist matrix closure too large")
+        # the group the twists generate: the orbit of the identity under
+        # right composition with them
+        try:
+            mats = orbit(ident, gens,
+                         lambda m, y: _mat_compose(m, y, self.invs),
+                         cap=10 ** 4)
+        except ClosureCapExceeded:
+            raise ValueError("twist matrix closure too large") from None
         self.y_mats = sorted(mats)
         self.y_index = {m: i for i, m in enumerate(self.y_mats)}
         self.y_id = self.y_index[ident]
@@ -1350,17 +1350,17 @@ def cor_tool_build(m_grp, k_grp, k0_grp, v_grp, char_set=None, lam0=None,
         for key in order:
             if key in rep_done:
                 continue
-            frontier = [(key, None)]
+            frontier = [key]
             seen = {key: None}
             while frontier:
-                cur, path = frontier.pop(0)
+                cur = frontier.pop(0)
                 lam = keyed[cur]
                 for g in outer:
                     img = _lin_conj(lam, g)
                     ikey = tuple(img[x] for x in k_grp.elements)
                     if ikey not in seen:
                         seen[ikey] = (cur, g)
-                        frontier.append((ikey, (cur, g)))
+                        frontier.append(ikey)
             for ikey, back in seen.items():
                 rep_done[ikey] = True
                 if back is not None:

@@ -60,22 +60,23 @@ def cmd_decompose(args):
 # suites; each yields (record_id, status, details) with deterministic order
 
 def _suite_relations(args):
-    from .root_levi import all_levi_subsets
-    from .spin_monomial import verify_relations
+    from .root_levi import all_levi_subsets, decompose
+    from .spin_monomial import SpinCtx, verify_relations
     l = args.rank
     if l > RELATIONS_RANK_CAP:
         yield (f"relations/rank{l}", "skipped",
                f"rank above enumeration cap {RELATIONS_RANK_CAP}")
         return
-    recs = verify_relations(l, seed=args.seed)
+    ctx = SpinCtx(l)
+    recs = verify_relations(l, seed=args.seed, ctx=ctx)
     bad = [name for name, ok, _ in recs if not ok]
     yield (f"relations/rank{l}/rank-level",
            "pass" if not bad else "fail",
            f"{len(recs)} checks" + (f"; failing: {bad}" if bad else ""))
-    from .root_levi import decompose
     for delta in all_levi_subsets(l):
         dec = decompose(l, sorted(delta))
-        recs = verify_relations(l, dec=dec, seed=args.seed, rank_level=False)
+        recs = verify_relations(l, dec=dec, seed=args.seed, rank_level=False,
+                                ctx=ctx)
         bad = [name for name, ok, _ in recs if not ok]
         yield (f"relations/rank{l}/delta={','.join(map(str, sorted(delta)))}",
                "pass" if not bad else "fail",

@@ -33,7 +33,7 @@ def closure(gens, cap=CLOSURE_CAP):
     return sorted(cur, key=lambda g: g.key())
 
 
-def orbit(x, gens, act):
+def orbit(x, gens, act, cap=CLOSURE_CAP):
     """The orbit of x under act(y, g) for g in gens, breadth-first from x."""
     out = [x]
     seen = {x}
@@ -43,6 +43,8 @@ def orbit(x, gens, act):
             if z not in seen:
                 seen.add(z)
                 out.append(z)
+                if len(out) > cap:
+                    raise ClosureCapExceeded(f"orbit exceeded {cap}")
     return out
 
 

@@ -13,7 +13,9 @@ permutation of the weight indices plus a phase-exponent vector.
 A SpinCtx memoizes its monomials: n_alpha(t) per (alpha, t), and the lifts
 of a decomposition's extension maps, with their inverses, per (dec, d), so
 that every kappa call after the first reuses them.  The memo lives as long
-as the context, which verify_relations builds afresh for each call.
+as the context; verify_relations takes one from its caller, so that a run
+over every Levi subset of a rank builds the root vectors and fills the memo
+once, and builds a fresh one only when none is given.
 """
 
 from dataclasses import dataclass
@@ -255,8 +257,10 @@ class SpinCtx:
                     E = op_compose(a_ann(l, i, M), P, M)
                 else:
                     E = op_compose(a_dag(l, i, M), P, M)
-            assert op_is_zero(op_compose(E, E, M)), "root vectors must square to zero"
-            self._assert_weight(E, alpha)
+            if not op_is_zero(op_compose(E, E, M)):
+                raise ArithmeticError(f"root vector E_{alpha} does not "
+                                      "square to zero")
+            self._check_weight(E, alpha)
             raw[alpha] = E
 
         # normalize the scalar of E_{-alpha} so that [E_a, E_-a] = H_a exactly;
@@ -274,19 +278,22 @@ class SpinCtx:
                 if self._bracket_is_coroot(raw[alpha], F, alpha):
                     found = c
                     break
-            assert found is not None, f"no unit normalization for {alpha}"
+            if found is None:
+                raise ArithmeticError(f"no unit normalization for {alpha}")
             self.E[alpha] = raw[alpha]
             self.E[neg] = op_scale(raw[neg], found, M)
             done.add(alpha)
             done.add(neg)
 
-    def _assert_weight(self, E, alpha):
+    def _check_weight(self, E, alpha):
         """E must shift the +-1 weight tuple by 2*alpha."""
         for col, rows in E.items():
             mu = weight_of_index(col, self.l)
             for row in rows:
                 nu = weight_of_index(row, self.l)
-                assert all(n - m == 2 * a for m, n, a in zip(mu, nu, alpha))
+                if any(n - m != 2 * a for m, n, a in zip(mu, nu, alpha)):
+                    raise ArithmeticError(f"E_{alpha} does not shift "
+                                          "weights by 2*alpha")
 
     def _bracket_is_coroot(self, E, F, alpha):
         M = self.M
@@ -326,13 +333,17 @@ class SpinCtx:
         B = self.x_elt(neg, (-c + M // 2) % M)   # argument -1/t
         op = op_compose(op_compose(A, B, M), A, M)
         mono = op_to_monomial(op, self.dim, M)
-        assert mono is not None, "n_alpha failed to be monomial"
+        if mono is None:
+            raise ArithmeticError(f"n_alpha failed to be monomial for {alpha}")
         self._n_cache[key] = mono
         return mono
 
     def embed_torus(self, h):
         """Diagonal monomial action of a TorusElt."""
-        assert len(h.a) == self.l and h.modulus == self.M
+        if len(h.a) != self.l or h.modulus != self.M:
+            raise ValueError(f"torus element of rank {len(h.a)} and modulus "
+                             f"{h.modulus} does not fit rank {self.l} and "
+                             f"modulus {self.M}")
         phase = tuple(tm.spin_weight_exponent(h, weight_of_index(i, self.l))
                       for i in range(self.dim))
         return MonomialElt(self.M, tuple(range(self.dim)), phase)
@@ -345,7 +356,9 @@ class SpinCtx:
         for i in range(l):
             nui = weight_of_index(g.perm[1 << i], l)
             diff = [j for j in range(l) if nu0[j] != nui[j]]
-            assert len(diff) == 1, "monomial element does not normalize the torus"
+            if len(diff) != 1:
+                raise ArithmeticError("monomial element does not normalize "
+                                      "the torus")
             j = diff[0]
             imgs.append((j + 1) * nu0[j])
         w = SignedPerm(tuple(imgs))
@@ -354,7 +367,9 @@ class SpinCtx:
             nu = weight_of_index(g.perm[idx], l)
             for i in range(l):
                 t = w.imgs[i]
-                assert nu[abs(t) - 1] == (1 if t > 0 else -1) * mu[i]
+                if nu[abs(t) - 1] != (1 if t > 0 else -1) * mu[i]:
+                    raise ArithmeticError("monomial element does not act on "
+                                          "weights by a signed permutation")
         return w
 
     # -- named generators --------------------------------------------------
@@ -556,12 +571,16 @@ def monomial_to_op(g):
             for col in range(len(g.perm))}
 
 
-def verify_relations(l, dec=None, K=4, seed=0, rank_level=True):
+def verify_relations(l, dec=None, K=4, seed=0, rank_level=True, ctx=None):
     """Run the relation suite; returns a list of (name, ok, detail) records.
 
     With a decomposition the per-Levi identities (kappa maps, block
     commutators, image of the stabilizer) are included; rank-level checks
     cover the monomial normal forms, torus kernel and full Weyl image.
+    ctx is a SpinCtx of rank l and precision K to reuse across calls, so
+    that its root vectors and memos are built once; without one a fresh
+    context is built.  A context of another rank or precision raises
+    ValueError.
     """
     import random
     from math import factorial
@@ -570,7 +589,11 @@ def verify_relations(l, dec=None, K=4, seed=0, rank_level=True):
     from . import signed_perm as sp
 
     rng = random.Random(seed)
-    ctx = SpinCtx(l, K)
+    if ctx is None:
+        ctx = SpinCtx(l, K)
+    elif (ctx.l, ctx.K) != (l, K):
+        raise ValueError(f"context of rank {ctx.l} and K = {ctx.K} given for "
+                         f"rank {l} and K = {K}")
     M = ctx.M
     records = []
 
@@ -581,7 +604,7 @@ def verify_relations(l, dec=None, K=4, seed=0, rank_level=True):
         ok = True
         for alpha in rl.b_roots(l):
             for c in (0, M // 4, M // 2, 1):
-                g = ctx.n_elt(alpha, c)          # asserts monomiality
+                g = ctx.n_elt(alpha, c)          # raises unless monomial
                 h = g * ctx.n_elt(alpha, 0).inv()
                 if h != ctx.embed_torus(tm.h_root(l, ctx.K, alpha, c)):
                     ok = False

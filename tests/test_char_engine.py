@@ -330,6 +330,20 @@ def test_wreath_ext_map_with_outer_action():
     assert out["equivariant"]
 
 
+def test_wreath_twists_close_to_the_generated_group():
+    # two generators of GL2(F2), neither of which alone gives all six
+    gens = [((1, 1), (0, 1)), ((0, 1), (1, 0))]
+    ctx = char_engine.WreathCtx((2, 2), gens, 1)
+    assert len(ctx.y_mats) == 6
+    assert ctx.y_mats == sorted(ctx.y_mats)
+    assert all(char_engine._mat_compose(m, n, ctx.invs) in ctx.y_index
+               for m in ctx.y_mats for n in ctx.y_mats)
+    # SL2(F29) has 24,360 elements, past the closure limit of 10**4
+    with pytest.raises(ValueError, match="closure too large"):
+        char_engine.WreathCtx((29, 29), [((1, 1), (0, 1)),
+                                         ((0, 1), (28, 0))], 1)
+
+
 _BAD_BASE_MAP = """
 from fractions import Fraction
 from weylkit.char_engine import wreath_ext_map

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from weylkit import cli
+from weylkit import cli, spin_monomial
 
 
 def run_cli(*args, env_extra=None, flags=()):
@@ -65,6 +65,31 @@ def test_verify_extend_under_optimize_flag():
     opt = run_cli("verify", "--suite", "extend", "--seed", "0", flags=("-O",))
     assert plain.returncode == opt.returncode == 0
     assert opt.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("suite", ["relations", "relweyl"])
+def test_verify_rank3_suites_under_optimize_flag(suite):
+    plain = run_cli("verify", "--suite", suite, "--rank", "3")
+    opt = run_cli("verify", "--suite", suite, "--rank", "3", flags=("-O",))
+    assert plain.returncode == opt.returncode == 0
+    assert opt.stdout == plain.stdout
+
+
+def test_relations_suite_builds_one_spin_context(monkeypatch):
+    built = []
+
+    class Counting(spin_monomial.SpinCtx):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(spin_monomial, "SpinCtx", Counting)
+    args = cli.build_parser().parse_args(["verify", "--suite", "relations",
+                                          "--rank", "3"])
+    records = list(cli._suite_relations(args))
+    assert len(records) == 1 + 2 ** 3
+    assert all(status == "pass" for _, status, _ in records)
+    assert built == [(3,)]
 
 
 def test_verify_rank_above_cap_skips():

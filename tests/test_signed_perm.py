@@ -3,10 +3,13 @@
 from math import factorial
 
 from hypothesis import given, settings, strategies as st
+import pytest
 
-from weylkit.root_levi import decompose, all_levi_subsets
+from weylkit import signed_perm
+from weylkit.root_levi import decompose, all_levi_subsets, levi_roots
 from weylkit.signed_perm import (SignedPerm, flip, transposition, full_group,
                                  full_group_order, in_d_subgroup,
+                                 act_on_root, levi_stabilizer,
                                  rel_weyl, rel_weyl_oracle,
                                  rel_weyl_matches_oracle, from_json)
 
@@ -101,3 +104,48 @@ def test_rel_weyl_formula_equals_oracle_sets():
     orc = rel_weyl_oracle(dec)
     assert set(res.ambient) == set(orc["image"])
     assert set(res.d_part) == set(orc["image_d"])
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_levi_stabilizer_matches_full_group_scan(l):
+    # the reference: every element of B_l that maps the Levi roots into
+    # themselves, in the key order full_group gives
+    whole = full_group((1,) * l)
+    for delta in all_levi_subsets(l):
+        dec = decompose(l, sorted(delta))
+        phi = levi_roots(l, dec.delta_prime)
+        scan = [w for w in whole if all(act_on_root(w, a) in phi for a in phi)]
+        assert levi_stabilizer(dec)[0] == scan, sorted(delta)
+
+
+def test_levi_stabilizer_has_howlett_shape():
+    # N_W(W_L) = W_L x| N_L with N_L the relative Weyl group (Howlett 1980)
+    for delta in all_levi_subsets(4):
+        dec = decompose(4, sorted(delta))
+        stab, levi = levi_stabilizer(dec)
+        assert len(stab) == levi.order * len(rel_weyl(dec).ambient)
+
+
+def test_hom_check_sees_a_swap_past_the_first_forty(monkeypatch):
+    # x and y both send 1 to 4, and no product of two of stab[:40] (which
+    # all send 1 to -4) does, so a check on stab[:40] squared misses the swap
+    dec = decompose(4, ())
+    stab = levi_stabilizer(dec)[0]
+    real = signed_perm.orbit_label_map
+    x = stab[-1]
+    d = (1,) * 4
+    y = next(w for w in reversed(stab[:-1])
+             if in_d_subgroup(w, d) == in_d_subgroup(x, d))
+    ident = SignedPerm.identity(len(dec.orbits))
+    assert stab.index(y) >= 40 and x.imgs[0] == y.imgs[0] == 4
+    assert ident != real(dec, x) != real(dec, y) != ident
+    swap = {x: y, y: x}
+
+    def swapped(dec, w):
+        return real(dec, swap.get(w, w))
+
+    monkeypatch.setattr(signed_perm, "orbit_label_map", swapped)
+    ok, checks = rel_weyl_matches_oracle(dec)
+    assert not ok
+    assert not checks["hom"]
+    assert all(v for k, v in checks.items() if k != "hom"), checks

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from weylkit import spin_monomial
-from weylkit.spin_monomial import (cyc_mul, cyc_add, cyc_unit, cyc_as_unit,
-                                   a_dag, a_ann, op_compose, op_add,
+from weylkit import spin_monomial, torus_model as tm
+from weylkit.spin_monomial import (MonomialElt, cyc_mul, cyc_add, cyc_unit,
+                                   cyc_as_unit, a_dag, a_ann, op_compose, op_add,
                                    op_identity, op_is_zero, op_scale,
                                    parity_op, weight_of_index, index_of_weight,
                                    SpinCtx, lift_unsigned, kappa,
@@ -133,3 +133,28 @@ def test_lifts_computed_once_per_block_weight(monkeypatch):
     assert all(ok for _, ok, _ in recs)
     want = [f for d in sorted(dec.blocks) for f in dec.f_maps(d)]
     assert calls == want
+
+
+def test_shared_context_gives_the_same_records():
+    ctx = SpinCtx(3)
+    assert verify_relations(3, ctx=ctx) == verify_relations(3)
+    for delta in all_levi_subsets(3):
+        dec = decompose(3, sorted(delta))
+        assert verify_relations(3, dec=dec, rank_level=False, ctx=ctx) == \
+            verify_relations(3, dec=dec, rank_level=False)
+
+
+@pytest.mark.parametrize("l, K", [(2, 4), (3, 5)])
+def test_mismatched_context_raises(l, K):
+    with pytest.raises(ValueError, match="context of rank"):
+        verify_relations(l, K=K, ctx=SpinCtx(3))
+
+
+def test_torus_checks_raise():
+    ctx = SpinCtx(2)
+    # swaps |1> and |3>: |0> stays while |1> moves two coordinates away
+    g = MonomialElt(ctx.M, (0, 3, 2, 1), (0,) * 4)
+    with pytest.raises(ArithmeticError, match="does not normalize the torus"):
+        ctx.w_image(g)
+    with pytest.raises(ValueError, match="does not fit rank 2"):
+        ctx.embed_torus(tm.h0(3, ctx.K))
