@@ -401,7 +401,9 @@ class CharTable:
 
     def degree_of(self, chi):
         d = chi[0]
-        assert d < self.p // 2
+        if d >= self.p // 2:
+            raise ArithmeticError(f"degree residue {d} is not below p/2 "
+                                  f"(p = {self.p}); the prime is too small")
         return d
 
     def class_perm(self, g):
@@ -424,13 +426,20 @@ class CharTable:
                      for perm in ids]
             yield chi, [g for g, key in zip(elems, keys) if fixed[key]]
 
+    def _check_modulus(self, other):
+        if other.p != self.p:
+            raise ValueError(f"tables must share the modulus "
+                             f"(p = {self.p} and {other.p})")
+
     def restrict_from(self, big_table, chi):
-        """Restriction of a character row of a bigger table to this group."""
+        """Restriction of a character row of a bigger table to this group
+        (same prime required)."""
+        self._check_modulus(big_table)
         return tuple(chi[big_table.class_of(rep)] for rep in self.reps)
 
     def induce_to(self, big_table, theta):
         """Induced class function on the bigger group (same prime required)."""
-        assert big_table.p == self.p, "tables must share the modulus"
+        self._check_modulus(big_table)
         p = self.p
         sums = [0] * big_table.r
         for h in self.group.elements:

@@ -59,7 +59,7 @@ class FiniteGroup:
             self.gens = sorted(set(gens), key=lambda g: g.key())
             self.elements = closure(self.gens, cap=cap)
         self._eset = set(self.elements)
-        self.identity = _find_identity(self.elements)
+        self.identity = _find_identity(self.elements, self._eset)
         self._classes = None
 
     @property
@@ -210,10 +210,14 @@ def _coset_extension(sub, gens, g, cap=CLOSURE_CAP):
     return out
 
 
-def _find_identity(elements):
-    for g in elements:
-        if g * g == g:
-            return g
+def _find_identity(elements, eset=None):
+    """g * g^-1 for the first element g, checked to lie in elements (eset,
+    their set, if the caller has it)."""
+    if elements:
+        g = elements[0]
+        e = g * g.inv()
+        if e in (set(elements) if eset is None else eset):
+            return e
     raise ValueError("no identity found; not closed under multiplication?")
 
 

@@ -271,13 +271,15 @@ def _check_invariants(dec):
     total += len(dec.singletons)
     if dec.j_minus1 is not None:
         total += len(dec.j_minus1)
-    assert total == l, "orbit sizes must partition the rank"
+    if total != l:
+        raise ArithmeticError("orbit sizes must partition the rank")
     seen = sorted(i for o in dec.orbits for i in o)
-    assert seen == list(range(1, l + 1)), "orbits must partition 1..l"
+    if seen != list(range(1, l + 1)):
+        raise ArithmeticError("orbits must partition 1..l")
     for d, bs in dec.blocks.items():
         for o in bs:
-            assert o == tuple(range(o[0], o[0] + d)), \
-                "type-A orbits must be integer intervals"
+            if o != tuple(range(o[0], o[0] + d)):
+                raise ArithmeticError("type-A orbits must be integer intervals")
 
 
 def levi_roots(l, delta_indices):

@@ -19,6 +19,11 @@ group is built.  The token equations are read from config_signature, a
 tuple of tokens renamed by first occurrence that holds exactly what
 build_groups reads of a shadow.
 
+enumerate_shadows filters by frame first: per class assignment it keeps the
+(h0, level) pairs that pass the mu-free checks of _frame_msgs, skips the
+assignment if none does, and runs validate only on the mu candidates of the
+kept frames.
+
 The exhaustive sweep (iter_stable_cover) keeps two memos per weight tuple:
 config_signature -> built groups, and a check key (stabilization level,
 kernel flag, first split part, formula agreement and the element sets of
@@ -147,13 +152,15 @@ def mu_symmetric(shadow):
     return True
 
 
-def validate(shadow):
-    """Structural constraints plus the admissibility axioms A1..A6."""
+def _frame_msgs(orbs, h0_in_ker, stab_level):
+    """The admissibility checks that read neither mu_pair nor fp: orbit
+    structure, class counts, the stabilization level and axioms A1..A5.
+    They are fixed by the orbits, h0 and the level, so the enumeration runs
+    them once per (h0, level) rather than once per mu."""
     msgs = []
-    orbs = shadow.orbits
     if not orbs:
         msgs.append("no orbits")
-        return False, msgs
+        return msgs
     if sum(1 for o in orbs if o.weight == -1) > 1:
         msgs.append("at most one distinguished orbit")
     by_class = {}
@@ -179,22 +186,54 @@ def validate(shadow):
     for od in (1, 2):
         if sum(1 for o in by_class.values() if o.lin_order == od) > 1:
             msgs.append(f"an order-{od} character gives a single class")
-    order4 = [t for t, o in by_class.items() if o.lin_order == 4]
-    if shadow.h0_in_ker and len(order4) > 1:
+    n_order4 = sum(1 for o in by_class.values() if o.lin_order == 4)
+    if h0_in_ker and n_order4 > 1:
         msgs.append("order-4 classes merge under the in-kernel rewrite")
-    if shadow.stab_level not in VALID_STAB:
+    if n_order4 > 2:
+        msgs.append("at most two order-4 classes")
+    if stab_level not in VALID_STAB:
         msgs.append("bad stabilization level")
-    if shadow.stab_level == "Lhat":
-        dist = [o for o in orbs if o.weight == -1]
-        if not dist:
-            msgs.append("the middle stabilizer level forces a "
-                        "distinguished orbit")
-        elif any(o.class_id in shadow.mu for o in dist):
-            msgs.append("the distinguished class is never twist-fixed at "
-                        "the middle stabilizer level")
+    if stab_level == "Lhat" and not any(o.weight == -1 for o in orbs):
+        msgs.append("the middle stabilizer level forces a "
+                    "distinguished orbit")
 
+    # axioms
+    for o in orbs:
+        if o.c_stable and o.weight not in (1, -1) and o.weight % 2 != 0:
+            msgs.append(f"A1: flip-stable class {o.class_id} has odd weight >1")
+    if not h0_in_ker:
+        neg = [o for o in orbs if o.eps == -1]
+        if any(o.weight != 2 for o in neg):
+            msgs.append("A2: eps=-1 outside weight 2 with h0 not in kernel")
+        if len({o.class_id for o in neg}) > 1:
+            msgs.append("A2: several eps=-1 classes with h0 not in kernel")
+        for o in orbs:
+            if o.weight == -1 and o.c_stable:
+                msgs.append("A4: distinguished orbit flip-stable needs h0 in kernel")
+            if o.weight == 1 and o.lin_order in (1, 2):
+                msgs.append("A5: order dividing 2 forces h0 in the kernel")
+    else:
+        for o in orbs:
+            if o.eps == -1 and not (o.weight == -1 or
+                                    (o.weight == 1 and o.lin_order in (1, 2))):
+                msgs.append("A3: eps=-1 only on the distinguished orbit or "
+                            "weight-1 orbits of order dividing 2")
+    return msgs
+
+
+def validate(shadow):
+    """Structural constraints plus the admissibility axioms A1..A6: the
+    frame checks of _frame_msgs, then those that read mu_pair or fp."""
+    orbs = shadow.orbits
+    msgs = _frame_msgs(orbs, shadow.h0_in_ker, shadow.stab_level)
+    if not orbs:
+        return False, msgs
     mu = shadow.mu
     classes = shadow.classes()
+    if shadow.stab_level == "Lhat" and any(o.weight == -1 and o.class_id in mu
+                                           for o in orbs):
+        msgs.append("the distinguished class is never twist-fixed at "
+                    "the middle stabilizer level")
     for t, s in mu.items():
         if mu.get(s) != t:
             msgs.append("mu_pair is not an involution")
@@ -227,8 +266,7 @@ def validate(shadow):
         msgs.append("order-1 class paired while its twist partner is absent")
     elif u2 is not None and u2 in mu:
         msgs.append("order-2 class paired while its twist partner is absent")
-    if len(order4) > 2:
-        msgs.append("at most two order-4 classes")
+    order4 = [t for t, o in classes.items() if o.lin_order == 4]
     if len(order4) == 2 and mu.get(order4[0]) != order4[1]:
         msgs.append("two order-4 classes must be twist partners")
     fpm = shadow.fp_map
@@ -241,28 +279,6 @@ def validate(shadow):
             msgs.append(f"fp must preserve class data ({t} -> {s})")
     if fpm and sorted(fpm.values()) != sorted(fpm):
         msgs.append("fp is not a permutation")
-
-    # axioms
-    for o in orbs:
-        if o.c_stable and o.weight not in (1, -1) and o.weight % 2 != 0:
-            msgs.append(f"A1: flip-stable class {o.class_id} has odd weight >1")
-    if not shadow.h0_in_ker:
-        neg = [o for o in orbs if o.eps == -1]
-        if any(o.weight != 2 for o in neg):
-            msgs.append("A2: eps=-1 outside weight 2 with h0 not in kernel")
-        if len({o.class_id for o in neg}) > 1:
-            msgs.append("A2: several eps=-1 classes with h0 not in kernel")
-        for o in orbs:
-            if o.weight == -1 and o.c_stable:
-                msgs.append("A4: distinguished orbit flip-stable needs h0 in kernel")
-            if o.weight == 1 and o.lin_order in (1, 2):
-                msgs.append("A5: order dividing 2 forces h0 in the kernel")
-    else:
-        for o in orbs:
-            if o.eps == -1 and not (o.weight == -1 or
-                                    (o.weight == 1 and o.lin_order in (1, 2))):
-                msgs.append("A3: eps=-1 only on the distinguished orbit or "
-                            "weight-1 orbits of order dividing 2")
     if mu_symmetric(shadow):
         q1 = q1_positions(shadow)
         for d in {o.weight for o in orbs if o.weight >= 3 and o.weight % 2}:
@@ -856,17 +872,21 @@ def enumerate_shadows(weights, stab_levels=VALID_STAB,
                 nclass += 1
                 orbs.extend([OrbitSpec(w, cid, cst, eps=eps,
                                        lin_order=lin)] * size)
+        orbs = tuple(orbs)
+        frames = [(h0, lvl) for h0 in h0_options for lvl in stab_levels
+                  if not _frame_msgs(orbs, h0, lvl)]
+        if not frames:
+            continue
         class_ids = sorted({o.class_id for o in orbs})
         mu_opts = _partial_involutions(class_ids) if with_mu else [{}]
         for mu in mu_opts:
-            for h0 in h0_options:
-                for lvl in stab_levels:
-                    sh = CuspidalShadow(
-                        orbits=tuple(orbs), h0_in_ker=h0, stab_level=lvl,
-                        mu_pair=tuple(sorted(mu.items())), fp=())
-                    ok, _ = validate(sh)
-                    if ok:
-                        yield sh
+            mu_pair = tuple(sorted(mu.items()))
+            for h0, lvl in frames:
+                sh = CuspidalShadow(orbits=orbs, h0_in_ker=h0, stab_level=lvl,
+                                    mu_pair=mu_pair, fp=())
+                ok, _ = validate(sh)
+                if ok:
+                    yield sh
 
 
 def _weight_multisets(max_orbits, domain=(1, 2, 3, 4)):

@@ -5,6 +5,10 @@ preserve a weight function is the ambient group for all relative-Weyl-group
 computations here.  The distinguished index-2 subgroup consists of elements
 whose number of sign changes at odd-weight points is even (a weight of -1
 counts as odd).
+
+SignedPerm is a slotted class around one tuple of signed images: equality
+and hashing are those of the tuple, and a product is one list comprehension
+that reads the left factor's images at the right factor's signed images.
 """
 
 from dataclasses import dataclass
@@ -12,10 +16,27 @@ from itertools import permutations, product
 import json
 
 
-@dataclass(frozen=True)
 class SignedPerm:
-    """imgs[i-1] = signed image of i, a value in {+-1..+-n}."""
-    imgs: tuple
+    """imgs[i-1] = signed image of i, a value in {+-1..+-n}.
+
+    The product (a*b)(i) = a(b(i)) reads a.imgs at the signed images of b:
+    a[j-1] for j > 0 and -a[-j-1] for j < 0.
+    """
+    __slots__ = ("imgs",)
+
+    def __init__(self, imgs):
+        self.imgs = imgs
+
+    def __eq__(self, other):
+        if other.__class__ is not SignedPerm:
+            return NotImplemented
+        return self.imgs == other.imgs
+
+    def __hash__(self):
+        return hash(self.imgs)
+
+    def __repr__(self):
+        return f"SignedPerm(imgs={self.imgs!r})"
 
     @property
     def n(self):
@@ -33,12 +54,13 @@ class SignedPerm:
 
     def __mul__(self, other):
         # (self*other)(i) = self(other(i))
-        return SignedPerm(tuple(self.act(other.imgs[i]) for i in range(self.n)))
+        a = self.imgs
+        return SignedPerm(tuple([a[j - 1] if j > 0 else -a[-j - 1]
+                                 for j in other.imgs]))
 
     def inv(self):
-        out = [0] * self.n
-        for i in range(1, self.n + 1):
-            j = self.imgs[i - 1]
+        out = [0] * len(self.imgs)
+        for i, j in enumerate(self.imgs, 1):
             if j > 0:
                 out[j - 1] = i
             else:

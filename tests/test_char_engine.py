@@ -92,6 +92,24 @@ def test_unsuitable_prime_raises():
         CharTable(s3_group(), p=7)
 
 
+def test_degree_past_half_the_prime_raises():
+    t = CharTable(s3_group())
+    assert t.degree_of(t.irreducibles[0]) == 1
+    with pytest.raises(ArithmeticError, match="not below p/2"):
+        t.degree_of((t.p // 2,) + (0,) * (t.r - 1))
+
+
+def test_tables_of_different_moduli_are_rejected():
+    g = s3_group()
+    t13, t19 = CharTable(g, p=13), CharTable(g, p=19)
+    chi = t19.irreducibles[-1]
+    assert t19.restrict_from(t19, chi) == chi
+    with pytest.raises(ValueError, match="share the modulus"):
+        t13.restrict_from(t19, chi)
+    with pytest.raises(ValueError, match="share the modulus"):
+        t13.induce_to(t19, t13.irreducibles[-1])
+
+
 def test_unsplit_table_raises(monkeypatch):
     monkeypatch.setattr(CharTable, "_split", lambda self, space, A, p: [space])
     with pytest.raises(ArithmeticError, match="failed to split"):

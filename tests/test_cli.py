@@ -75,6 +75,18 @@ def test_verify_rank3_suites_under_optimize_flag(suite):
     assert opt.stdout == plain.stdout
 
 
+@pytest.mark.parametrize("args", [
+    ("--suite", "shadows", "--max-orbits", "2", "--random-count", "5",
+     "--seed", "1"),
+    ("--suite", "table1"),
+], ids=["shadows", "table1"])
+def test_verify_table_suites_under_optimize_flag(args):
+    plain = run_cli("verify", *args)
+    opt = run_cli("verify", *args, flags=("-O",))
+    assert plain.returncode == opt.returncode == 0
+    assert opt.stdout == plain.stdout
+
+
 def test_relations_suite_builds_one_spin_context(monkeypatch):
     built = []
 

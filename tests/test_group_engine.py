@@ -39,6 +39,24 @@ def test_identity_and_membership():
     assert SignedPerm((2, 1)) in g
 
 
+def test_identity_from_one_product():
+    g = b2_group()
+    assert _find_identity(g.elements) == SignedPerm.identity(2)
+    assert _find_identity(g.elements, g._eset) == SignedPerm.identity(2)
+    assert quaternion_group()[0].identity == Perm(tuple(range(8)))
+
+
+def test_identity_missing_raises():
+    # a list without the identity is no group, even if g * g^-1 is defined
+    no_e = [flip(2, 1), transposition(2, 1, 2)]
+    with pytest.raises(ValueError, match="no identity found"):
+        _find_identity(no_e)
+    with pytest.raises(ValueError, match="no identity found"):
+        FiniteGroup(elements=no_e)
+    with pytest.raises(ValueError, match="no identity found"):
+        _find_identity([])
+
+
 def test_center_and_classes_b2():
     g = b2_group()
     z = g.center()

@@ -1,8 +1,10 @@
 """Orbit decomposition of Levi subsets: frozen examples and invariants."""
 
+from dataclasses import replace
+
 import pytest
 
-from weylkit.root_levi import (decompose, all_levi_subsets, normalize_levi,
+from weylkit.root_levi import (_check_invariants, decompose, all_levi_subsets, normalize_levi,
                                simple_roots, d_roots, b_roots, span_closure,
                                levi_roots)
 
@@ -102,3 +104,16 @@ def test_to_json_round_trip_fields():
 def test_bad_index_rejected():
     with pytest.raises((ValueError, AssertionError)):
         decompose(4, (9,))
+
+
+def test_invariant_checks_raise():
+    # python -O strips asserts, so each broken invariant must raise
+    dec = decompose(5, (1, 3))
+    _check_invariants(dec)
+    bad = [(replace(dec, rank=6), "partition the rank"),
+           (replace(dec, orbits=dec.orbits[:-1] + ((4, 5, 1),)),
+            "partition 1..l"),
+           (replace(dec, blocks={3: ((2, 1, 3),)}), "integer intervals")]
+    for d, msg in bad:
+        with pytest.raises(ArithmeticError, match=msg):
+            _check_invariants(d)

@@ -1,5 +1,6 @@
 """Shadow admissibility, stabilizer towers, the split, and the check sweeps."""
 
+from itertools import product
 import logging
 import random
 
@@ -13,7 +14,10 @@ from weylkit.shadow import (OrbitSpec, CuspidalShadow, make_shadow,
                             enumerate_shadows, sweep_stable_cover,
                             random_shadow, verify_random_shadows,
                             config_signature, iter_stable_cover,
-                            _weight_multisets, _check_key)
+                            _weight_multisets, _check_key, _frame_msgs,
+                            _combo_list, _tagged_partitions,
+                            _partial_involutions, VALID_STAB)
+from weylkit import shadow as shadow_mod
 
 
 def simple_shadow(**kw):
@@ -72,6 +76,26 @@ def test_validate_distinguished_never_twist_fixed():
     ok, msgs = validate(sh)
     assert not ok
     assert any("never twist-fixed" in m for m in msgs)
+
+
+def test_validate_frame_only_failure():
+    # the middle level without a distinguished orbit: no mu or fp involved
+    orbs = (OrbitSpec(2, "t", True, eps=1),)
+    msg = "the middle stabilizer level forces a distinguished orbit"
+    assert _frame_msgs(orbs, True, "Lhat") == [msg]
+    ok, msgs = validate(CuspidalShadow(orbits=orbs, h0_in_ker=True,
+                                       stab_level="Lhat"))
+    assert not ok and msgs == [msg]
+
+
+def test_validate_mu_only_failure():
+    orbs = (OrbitSpec(1, "a", False, lin_order="other"),)
+    assert _frame_msgs(orbs, False, "Ltilde") == []
+    sh = CuspidalShadow(orbits=orbs, h0_in_ker=False, stab_level="Ltilde",
+                        mu_pair=(("a", "a"),))
+    ok, msgs = validate(sh)
+    assert not ok
+    assert any("never self-pair" in m for m in msgs)
 
 
 def test_build_groups_tower_and_formulas():
@@ -166,6 +190,52 @@ def _renamed(sh, names):
 def shadows3():
     """Every admissible shadow with at most three orbits."""
     return [sh for w in _weight_multisets(3) for sh in enumerate_shadows(w)]
+
+
+def _enumerate_reference(weights):
+    """Every flag, partition, mu, h0 and level candidate, in the generator's
+    order, filtered by validate alone."""
+    counts = {}
+    for w in weights:
+        counts[w] = counts.get(w, 0) + 1
+    per_weight = [(w, list(_tagged_partitions(counts[w], _combo_list(w))))
+                  for w in sorted(counts, key=lambda v: (v != -1, v))]
+    for chosen in product(*(parts for _, parts in per_weight)):
+        orbs = []
+        for (w, _), part in zip(per_weight, chosen):
+            for (lin, cst, eps), size in part:
+                cid = f"t{len({o.class_id for o in orbs})}"
+                orbs.extend([OrbitSpec(w, cid, cst, eps=eps,
+                                       lin_order=lin)] * size)
+        for mu in _partial_involutions(sorted({o.class_id for o in orbs})):
+            for h0 in (True, False):
+                for lvl in VALID_STAB:
+                    sh = CuspidalShadow(
+                        orbits=tuple(orbs), h0_in_ker=h0, stab_level=lvl,
+                        mu_pair=tuple(sorted(mu.items())), fp=())
+                    if validate(sh)[0]:
+                        yield sh
+
+
+def test_enumeration_matches_candidate_filter(shadows3):
+    ref = [sh for w in _weight_multisets(3) for sh in _enumerate_reference(w)]
+    assert len(ref) == 6876
+    assert shadows3 == ref
+
+
+def test_enumeration_validates_frame_admissible_candidates_only(monkeypatch):
+    calls = []
+
+    def counting(sh):
+        calls.append(sh)
+        return validate(sh)
+
+    monkeypatch.setattr(shadow_mod, "validate", counting)
+    n = sum(1 for w in _weight_multisets(3) for _ in enumerate_shadows(w))
+    assert n == 6876
+    assert len(calls) <= 17192
+    assert all(not _frame_msgs(sh.orbits, sh.h0_in_ker, sh.stab_level)
+               for sh in calls)
 
 
 def test_config_signature_ignores_class_names(shadows3):

@@ -43,6 +43,44 @@ def test_action_is_antihomomorphic_on_points():
         assert (a * b).act(i) == j
 
 
+def _ref_mul(a, b):
+    """The product on plain image tuples, through the signed action."""
+    def act(imgs, i):
+        return imgs[i - 1] if i > 0 else -imgs[-i - 1]
+    return tuple(act(a, b[i]) for i in range(len(a)))
+
+
+def _ref_inv(a):
+    out = [0] * len(a)
+    for i in range(1, len(a) + 1):
+        j = a[i - 1]
+        out[abs(j) - 1] = i if j > 0 else -i
+    return tuple(out)
+
+
+@given(st.integers(1, 6), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_tuple_reference(n, rng):
+    a = rand_signed_perm(rng, n)
+    b = rand_signed_perm(rng, n)
+    ab = a * b
+    assert type(ab.imgs) is tuple and ab.imgs == _ref_mul(a.imgs, b.imgs)
+    assert a.inv().imgs == _ref_inv(a.imgs)
+    assert (a == b) == (a.imgs == b.imgs)
+    assert (a != b) == (a.imgs != b.imgs)
+    twin = SignedPerm(tuple(a.imgs))
+    assert twin == a and hash(twin) == hash(a) == hash(a.imgs)
+    assert len({a, b, twin}) == len({a.imgs, b.imgs})
+
+
+def test_kernel_repr_and_foreign_equality():
+    p = SignedPerm((2, -1))
+    assert repr(p) == "SignedPerm(imgs=(2, -1))"
+    assert SignedPerm((1, 2)) != (1, 2)
+    assert SignedPerm((1, 2)).__eq__((1, 2)) is NotImplemented
+    assert not hasattr(p, "__dict__")
+
+
 def test_flip_and_transposition():
     f = flip(3, 2)
     assert f.imgs == (1, -2, 3)
